@@ -18,12 +18,8 @@ from .corpus import (
 from .diversity import (
     DiversityCategory,
     PaperDiversity,
-    build_author_graph,
     categorize,
-    connected_components,
     cosine_distance,
-    max_distance,
-    pairwise_distances,
     paper_diversity,
 )
 from .expertise import (
@@ -60,18 +56,14 @@ __all__ = [
     "SynthParams",
     "assign_bucket",
     "background_distribution",
-    "build_author_graph",
     "categorize",
     "chi_square_homogeneity",
-    "connected_components",
     "cosine_distance",
     "expertise_vector",
     "generate_corpus",
     "load_corpus",
-    "max_distance",
     "median",
     "one_zero_counts",
-    "pairwise_distances",
     "paper_diversity",
     "parse_corpus",
     "pearson",

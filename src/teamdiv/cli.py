@@ -71,10 +71,10 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> AnalysisConfig:
-    settings: dict = {}
+    settings: object = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            settings.update(json.load(handle))
+            settings = json.load(handle)
     overrides = {
         "window_years": args.window_years,
         "top_k": args.top_k,
@@ -84,7 +84,8 @@ def build_config(args: argparse.Namespace) -> AnalysisConfig:
         "min_authors": args.min_authors,
         "inclusive_threshold": args.inclusive_threshold,
     }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
+    if isinstance(settings, dict):  # from_dict rejects any other JSON value
+        settings.update({k: v for k, v in overrides.items() if v is not None})
     return AnalysisConfig.from_dict(settings)
 
 

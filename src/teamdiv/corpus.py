@@ -84,6 +84,14 @@ def _bucket_label(index: int) -> str:
     return label
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pair(value: object) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     window_years: int = 5
@@ -96,6 +104,27 @@ class AnalysisConfig:
     inclusive_threshold: bool = False
 
     def __post_init__(self):
+        for name in ("window_years", "top_k", "min_citations", "min_authors"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        threshold = self.edge_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ConfigError(f"edge_threshold must be a number, got {threshold!r}")
+        if not isinstance(self.inclusive_threshold, bool):
+            raise ConfigError(
+                f"inclusive_threshold must be true or false, got {self.inclusive_threshold!r}"
+            )
+        if not _is_pair(self.year_range) or not all(map(_is_int, self.year_range)):
+            raise ConfigError(f"year_range must be two integers, got {self.year_range!r}")
+        if not isinstance(self.bucket_bounds, (list, tuple)) or not all(
+            _is_pair(b) and _is_int(b[0]) and (b[1] is None or _is_int(b[1]))
+            for b in self.bucket_bounds
+        ):
+            raise ConfigError(
+                "bucket_bounds must be a list of [int, int or null] pairs, "
+                f"got {self.bucket_bounds!r}"
+            )
         if self.window_years < 1:
             raise ConfigError("window_years must be >= 1")
         if self.top_k < 1:
@@ -145,15 +174,20 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AnalysisConfig":
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "year_range" in kwargs:
+        # JSON arrays become tuples; anything else reaches __post_init__ as is
+        if isinstance(kwargs.get("year_range"), (list, tuple)):
             kwargs["year_range"] = tuple(kwargs["year_range"])
-        if "bucket_bounds" in kwargs:
-            kwargs["bucket_bounds"] = tuple(tuple(b) for b in kwargs["bucket_bounds"])
+        if isinstance(kwargs.get("bucket_bounds"), (list, tuple)):
+            kwargs["bucket_bounds"] = tuple(
+                tuple(b) if isinstance(b, (list, tuple)) else b for b in kwargs["bucket_bounds"]
+            )
         return cls(**kwargs)
 
 

@@ -1,9 +1,11 @@
 """Per-paper diversity metrics over author expertise vectors.
 
-Two metrics per paper: the maximum pairwise cosine distance within the
-team, and the number of connected components of the author-similarity
-graph (edge when a pair's distance falls below the threshold). Component
-counts map onto four ordered diversity categories.
+Two metrics per paper, both taken from the same pairwise cosine distances:
+the maximum distance within the team, and the number of connected
+components of the author-similarity graph (edge when a pair's distance
+falls below the threshold). ``paper_diversity`` computes each distance
+once and folds it into both. Component counts map onto four ordered
+diversity categories.
 """
 from __future__ import annotations
 
@@ -24,10 +26,6 @@ class UndefinedDistanceError(ValueError):
     """Cosine distance to an empty expertise vector is undefined."""
 
 
-class InsufficientTeamError(ValueError):
-    """Fewer than two team members have usable expertise vectors."""
-
-
 class DiversityCategory(str, Enum):
     LOW = "low"
     MODERATE = "moderate"
@@ -36,14 +34,6 @@ class DiversityCategory(str, Enum):
 
 
 CATEGORIES: tuple[DiversityCategory, ...] = tuple(DiversityCategory)
-
-
-@dataclass(frozen=True)
-class AuthorSimilarityGraph:
-    """Graph over one paper's team; edges join pairs with similar expertise."""
-
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,92 +78,6 @@ def cosine_distance(u: ExpertiseVector, v: ExpertiseVector) -> float:
     return distance
 
 
-def _usable_members(team: Sequence[ExpertiseVector]) -> list[ExpertiseVector]:
-    return sorted((v for v in team if not v.is_empty), key=lambda v: v.owner)
-
-
-def pairwise_distances(team: Sequence[ExpertiseVector]) -> list[float]:
-    """All N(N-1)/2 pairwise distances, pairs ordered by author id."""
-    members = _usable_members(team)
-    if len(members) < 2:
-        raise InsufficientTeamError(
-            f"need at least 2 members with expertise, got {len(members)}"
-        )
-    distances = []
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            distances.append(cosine_distance(u, v))
-    return distances
-
-
-def max_distance(team: Sequence[ExpertiseVector]) -> float:
-    return max(pairwise_distances(team))
-
-
-def build_author_graph(
-    team: Sequence[ExpertiseVector],
-    threshold: float,
-    inclusive: bool = False,
-) -> AuthorSimilarityGraph:
-    """Connect pairs whose distance is strictly below the threshold.
-
-    ``inclusive`` switches to <= for sensitivity analysis. Members with
-    empty vectors become isolated vertices.
-    """
-    if not team:
-        raise ValueError("team must be nonempty")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    vertices = tuple(sorted(v.owner for v in team))
-    members = _usable_members(team)
-    edges = set()
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            d = cosine_distance(u, v)
-            if d < threshold or (inclusive and d == threshold):
-                edges.add((u.owner, v.owner))
-    return AuthorSimilarityGraph(vertices=vertices, edges=frozenset(edges))
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {item: item for item in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: str, y: str) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # keep the smaller id as root so component order is deterministic
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
-def connected_components(graph: AuthorSimilarityGraph) -> tuple[int, dict[str, int]]:
-    """Component count and a vertex -> component-index map.
-
-    Indices follow the smallest vertex id contained in each component.
-    """
-    uf = _UnionFind(graph.vertices)
-    for u, v in graph.edges:
-        uf.union(u, v)
-    membership: dict[str, int] = {}
-    root_index: dict[str, int] = {}
-    for vertex in sorted(graph.vertices):
-        root = uf.find(vertex)
-        if root not in root_index:
-            root_index[root] = len(root_index)
-        membership[vertex] = root_index[root]
-    return len(root_index), membership
-
-
 def categorize(n_components: int) -> DiversityCategory:
     """Map a component count onto the four-level diversity scale."""
     if n_components < 1:
@@ -193,25 +97,48 @@ def paper_diversity(
     threshold: float,
     inclusive: bool = False,
 ) -> PaperDiversity:
-    """Evaluate both metrics and the category for one paper's team."""
-    usable = _usable_members(team)
-    if len(usable) >= 2:
-        distances = pairwise_distances(usable)
-        largest = max(distances)
-        pair_count = len(distances)
-    else:
-        largest = None
-        pair_count = 0
-    graph = build_author_graph(team, threshold, inclusive=inclusive)
-    n_components, _ = connected_components(graph)
+    """Evaluate both metrics and the category for one paper's team.
+
+    One pass over the pairs of members with nonempty vectors: each pair's
+    distance feeds the running maximum and, when it is below the threshold
+    (or equal to it with ``inclusive``), joins the pair in a union-find.
+    Members with empty vectors stay isolated vertices.
+    """
+    if not team:
+        raise ValueError("team must be nonempty")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
+    usable = [v for v in team if not v.is_empty]
+    n = len(usable)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    largest = 0.0
+    unions = 0
+    for i, u in enumerate(usable):
+        for j in range(i):
+            d = cosine_distance(u, usable[j])
+            if d > largest:
+                largest = d
+            if d < threshold or (inclusive and d == threshold):
+                root_i, root_j = find(i), find(j)
+                if root_i != root_j:
+                    parent[root_i] = root_j
+                    unions += 1
+    n_components = len(team) - unions
     return PaperDiversity(
         paper_id=paper_id,
         n_authors=len(team),
-        pair_count=pair_count,
-        max_distance=largest,
+        pair_count=n * (n - 1) // 2,
+        max_distance=largest if n >= 2 else None,
         n_components=n_components,
         category=categorize(n_components),
-        excluded_authors=len(team) - len(usable),
+        excluded_authors=len(team) - n,
     )
 
 

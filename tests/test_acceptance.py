@@ -10,13 +10,10 @@ from concurrent.futures import ProcessPoolExecutor
 from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig
 from teamdiv.diversity import (
-    AuthorSimilarityGraph,
     DiversityCategory,
-    build_author_graph,
     categorize,
-    connected_components,
     cosine_distance,
-    pairwise_distances,
+    paper_diversity,
 )
 from teamdiv.expertise import ExpertiseVector, TopicDistribution, expertise_vector
 from teamdiv.reference import (
@@ -126,34 +123,59 @@ def _closure_components(vertices, edges):
     return len({tuple(row) for row in reach})
 
 
+def _random_team(rng, n, topics):
+    # some members without expertise; the rest draw weights over a few topics
+    return [
+        ExpertiseVector(f"v{i:02d}", {}, 10)
+        if rng.random() < 0.15
+        else ExpertiseVector(
+            f"v{i:02d}",
+            {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, rng.randint(1, len(topics)))},
+            10,
+        )
+        for i in range(n)
+    ]
+
+
 def test_component_oracle():
     rng = random.Random(2024)
-    densities = [d / 10 for d in range(11)]
+    thresholds = [d / 10 for d in range(11)]
+    topics = [f"t{i}" for i in range(6)]
     mismatches = 0
     for trial in range(1000):
         n = rng.randint(1, 12)
-        density = densities[trial % 11]
-        vertices = tuple(f"v{i:02d}" for i in range(n))
+        threshold = thresholds[trial % 11]
+        team = _random_team(rng, n, topics)
+        vertices = tuple(v.owner for v in team)
         edges = set()
+        distances = []
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.random() < density:
+                if team[i].is_empty or team[j].is_empty:
+                    continue
+                d = cosine_distance(team[i], team[j])
+                distances.append(d)
+                if d < threshold:
                     edges.add((vertices[i], vertices[j]))
-        graph = AuthorSimilarityGraph(vertices=vertices, edges=frozenset(edges))
-        if connected_components(graph)[0] != _closure_components(vertices, edges):
+        result = paper_diversity("p", team, threshold)
+        expected_max = max(distances) if distances else None
+        if (
+            result.n_components != _closure_components(vertices, edges)
+            or result.max_distance != expected_max
+        ):
             mismatches += 1
     team = (
         [ExpertiseVector(f"g1_{i}", {"ml": 0.5}, 10) for i in range(3)]
         + [ExpertiseVector(f"g2_{i}", {"hci": 0.5}, 10) for i in range(2)]
         + [ExpertiseVector(f"g3_{i}", {"db": 0.5}, 10) for i in range(2)]
     )
-    count, _ = connected_components(build_author_graph(team, 0.3))
+    count = paper_diversity("fixture", team, 0.3).n_components
     fixture_ok = count == 3 and categorize(count) is DiversityCategory.MODERATE
     _verdict(
         "component oracle",
         mismatches == 0 and fixture_ok,
-        f"{mismatches} mismatches in 1000 random graphs; "
-        f"7-vertex/3-group fixture -> {count} components, "
+        f"{mismatches} mismatches in 1000 random teams; "
+        f"7-author/3-group fixture -> {count} components, "
         f"{categorize(count).value}",
     )
 
@@ -232,11 +254,11 @@ def test_metric_invariants():
                 )
                 for i in range(n)
             ]
-            ok = ok and len(pairwise_distances(team)) == n * (n - 1) // 2
-            counts = [
-                connected_components(build_author_graph(team, thr))[0]
-                for thr in (0.0, 0.25, 0.5, 0.75, 1.0)
+            results = [
+                paper_diversity("p", team, thr) for thr in (0.0, 0.25, 0.5, 0.75, 1.0)
             ]
+            ok = ok and all(r.pair_count == n * (n - 1) // 2 for r in results)
+            counts = [r.n_components for r in results]
             ok = ok and counts == sorted(counts, reverse=True)
         if not ok:
             failures += 1

@@ -109,6 +109,36 @@ def test_flags_override_config_file(valid_corpus_path, tmp_path):
     assert echo["edge_threshold"] == 0.25  # file beats default
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"top_k": "10"},
+        {"top_k": True},
+        {"window_years": None},
+        {"edge_threshold": "0.3"},
+        {"year_range": [2010]},
+        {"year_range": [2010, "2015"]},
+        {"bucket_bounds": [[2]]},
+        {"bucket_bounds": [[2, 5.5], [5.5, None]]},
+        {"bucket_bounds": 5},
+        {"inclusive_threshold": 1},
+        [1, 2],
+        "top_k",
+    ],
+)
+def test_config_file_type_mistakes_exit_2(valid_corpus_path, tmp_path, capsys, content):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(content))
+    code = main(
+        ["analyze", str(valid_corpus_path), "--config", str(config_path),
+         "--output", str(tmp_path / "out")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_strict_parse_fails_on_bad_record(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     write_jsonl(path, [record("p1", 2013, [], ["t"], citations=5)])

@@ -3,18 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import teamdiv.diversity as diversity
 from teamdiv.diversity import (
-    AuthorSimilarityGraph,
     DiversityCategory,
-    InsufficientTeamError,
     UndefinedDistanceError,
-    build_author_graph,
     categorize,
-    connected_components,
     cosine_distance,
-    max_distance,
     paper_diversity,
-    pairwise_distances,
     read_metrics_csv,
     write_metrics_csv,
 )
@@ -80,14 +75,32 @@ def test_scale_invariance_property(entries, scale):
     )
 
 
-# --- pairwise / max ---
+# --- pairs / max distance ---
 
 
 def test_pair_counts():
     team2 = [vec("a", x=1.0), vec("b", x=1.0)]
-    assert len(pairwise_distances(team2)) == 1
+    assert paper_diversity("p", team2, 0.3).pair_count == 1
     team7 = [vec(f"a{i}", **{f"t{i}": 1.0}) for i in range(7)]
-    assert len(pairwise_distances(team7)) == 21
+    assert paper_diversity("p", team7, 0.3).pair_count == 21
+
+
+def test_one_distance_per_pair(monkeypatch):
+    calls = []
+
+    def counting(u, v):
+        calls.append((u.owner, v.owner))
+        return cosine_distance(u, v)
+
+    monkeypatch.setattr(diversity, "cosine_distance", counting)
+    rng = random.Random(13)
+    team = [
+        vec(f"a{i}", **{f"t{j}": rng.uniform(0.1, 1) for j in rng.sample(range(5), 2)})
+        for i in range(10)
+    ] + [ExpertiseVector("e1", {}, 10), ExpertiseVector("e2", {}, 10)]
+    result = paper_diversity("p", team, threshold=0.3)
+    assert len(calls) == result.pair_count == 45
+    assert len({frozenset(pair) for pair in calls}) == 45
 
 
 def test_pairwise_matches_nested_loop_oracle():
@@ -96,28 +109,20 @@ def test_pairwise_matches_nested_loop_oracle():
         vec(f"a{i}", **{f"t{rng.randint(0, 5)}": rng.uniform(0.1, 1), f"u{i % 3}": 0.5})
         for i in range(5)
     ]
-    got = pairwise_distances(team)
-    assert len(got) == 10
-    ordered = sorted(team, key=lambda v: v.owner)
+    result = paper_diversity("p", team, threshold=0.3)
+    assert result.pair_count == 10
     expected = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            expected.append(cosine_distance(ordered[i], ordered[j]))
-    assert got == expected
-
-
-def test_insufficient_team():
-    with pytest.raises(InsufficientTeamError):
-        pairwise_distances([vec("a", x=1.0)])
-    with pytest.raises(InsufficientTeamError):
-        pairwise_distances([vec("a", x=1.0), ExpertiseVector("b", {}, 10)])
+    for i in range(len(team)):
+        for j in range(i + 1, len(team)):
+            expected.append(cosine_distance(team[i], team[j]))
+    assert result.max_distance == max(expected)
 
 
 def test_max_distance_cases():
     identical = [vec(f"a{i}", ml=0.3) for i in range(4)]
-    assert max_distance(identical) == 0.0
+    assert paper_diversity("p", identical, 0.3).max_distance == 0.0
     loner = [vec("a", ml=0.5), vec("b", ml=0.5), vec("c", far=0.9)]
-    assert max_distance(loner) == 1.0
+    assert paper_diversity("p", loner, 0.3).max_distance == 1.0
 
 
 def test_max_distance_enumerates_pairs():
@@ -125,51 +130,43 @@ def test_max_distance_enumerates_pairs():
     u = vec("a", t1=0.6, t2=0.8)
     v = vec("b", t1=0.8, t2=0.6)
     w = vec("c", t1=1.0)
-    dists = pairwise_distances([u, v, w])
-    assert max_distance([u, v, w]) == max(dists)
+    dists = [cosine_distance(u, v), cosine_distance(u, w), cosine_distance(v, w)]
+    assert paper_diversity("p", [u, v, w], 0.3).max_distance == max(dists)
 
 
-# --- graph / components ---
+# --- components ---
 
 
 def test_identical_team_complete_graph():
     team = [vec(f"a{i}", ml=0.3) for i in range(4)]
-    graph = build_author_graph(team, threshold=0.1)
-    assert len(graph.edges) == 6
+    assert paper_diversity("p", team, threshold=0.1).n_components == 1
 
 
 def test_disjoint_team_edgeless():
     team = [vec(f"a{i}", **{f"t{i}": 1.0}) for i in range(5)]
-    graph = build_author_graph(team, threshold=0.3)
-    assert graph.edges == frozenset()
+    assert paper_diversity("p", team, threshold=0.3).n_components == 5
 
 
 def test_threshold_comparison_is_strict():
     u = vec("a", t1=0.6, t2=0.8)
     v = vec("b", t1=0.8, t2=0.6)
     d = cosine_distance(u, v)
-    strict = build_author_graph([u, v], threshold=d)
-    assert strict.edges == frozenset()
-    inclusive = build_author_graph([u, v], threshold=d, inclusive=True)
-    assert len(inclusive.edges) == 1
+    assert paper_diversity("p", [u, v], threshold=d).n_components == 2
+    assert paper_diversity("p", [u, v], threshold=d, inclusive=True).n_components == 1
 
 
 def test_empty_vector_member_is_isolated_vertex():
     team = [vec("a", ml=0.5), vec("b", ml=0.5), ExpertiseVector("c", {}, 10)]
-    graph = build_author_graph(team, threshold=0.3)
-    assert set(graph.vertices) == {"a", "b", "c"}
-    count, membership = connected_components(graph)
-    assert count == 2
-    assert membership["c"] != membership["a"]
+    result = paper_diversity("p", team, threshold=1.0, inclusive=True)
+    assert result.n_components == 2
+    assert result.excluded_authors == 1
 
 
-def _brute_force_components(vertices, edges):
+def _brute_force_components(n, edges):
     # transitive closure over the reachability matrix
-    idx = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
     reach = [[i == j for j in range(n)] for i in range(n)]
     for u, v in edges:
-        reach[idx[u]][idx[v]] = reach[idx[v]][idx[u]] = True
+        reach[u][v] = reach[v][u] = True
     for k in range(n):
         for i in range(n):
             if reach[i][k]:
@@ -183,34 +180,31 @@ def _brute_force_components(vertices, edges):
 
 def test_components_match_reachability_oracle():
     rng = random.Random(11)
+    topics = [f"t{i}" for i in range(6)]
     for trial in range(1000):
         n = rng.randint(1, 12)
-        density = (trial % 11) / 10.0
-        vertices = tuple(f"v{i:02d}" for i in range(n))
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < density:
-                    edges.add((vertices[i], vertices[j]))
-        graph = AuthorSimilarityGraph(vertices=vertices, edges=frozenset(edges))
-        count, membership = connected_components(graph)
-        assert count == _brute_force_components(vertices, edges)
-        # membership indices are dense and deterministic
-        assert set(membership.values()) == set(range(count))
+        threshold = (trial % 11) / 10.0
+        team = [
+            ExpertiseVector(f"v{i:02d}", {}, 10)
+            if rng.random() < 0.1
+            else vec(f"v{i:02d}", **{t: rng.uniform(0.01, 1) for t in rng.sample(topics, 3)})
+            for i in range(n)
+        ]
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not team[i].is_empty
+            and not team[j].is_empty
+            and cosine_distance(team[i], team[j]) < threshold
+        ]
+        result = paper_diversity("p", team, threshold)
+        assert result.n_components == _brute_force_components(n, edges)
 
 
 def test_edgeless_graph_component_count():
-    vertices = tuple(f"v{i}" for i in range(9))
-    graph = AuthorSimilarityGraph(vertices=vertices, edges=frozenset())
-    assert connected_components(graph)[0] == 9
-
-
-def test_component_indices_follow_smallest_vertex():
-    graph = AuthorSimilarityGraph(
-        vertices=("a", "b", "c", "d"), edges=frozenset([("b", "d")])
-    )
-    _, membership = connected_components(graph)
-    assert membership == {"a": 0, "b": 1, "c": 2, "d": 1}
+    team = [vec(f"v{i}", **{f"t{i}": 1.0}) for i in range(9)]
+    assert paper_diversity("p", team, threshold=1.0).n_components == 9
 
 
 def test_three_group_seven_author_team():
@@ -219,10 +213,9 @@ def test_three_group_seven_author_team():
         + [vec(f"g2_{i}", hci=0.5) for i in range(2)]
         + [vec(f"g3_{i}", db=0.5) for i in range(2)]
     )
-    graph = build_author_graph(team, threshold=0.3)
-    count, _ = connected_components(graph)
-    assert count == 3
-    assert categorize(count) is DiversityCategory.MODERATE
+    result = paper_diversity("p", team, threshold=0.3)
+    assert result.n_components == 3
+    assert result.category is DiversityCategory.MODERATE
 
 
 def test_single_component_when_all_pairs_below_threshold():
@@ -233,11 +226,10 @@ def test_single_component_when_all_pairs_below_threshold():
             vec(f"a{i}", **{f"t{j}": rng.uniform(0.2, 1) for j in range(4)})
             for i in range(n)
         ]
-        threshold = max_distance(team) + 0.05
+        threshold = paper_diversity("p", team, 0.0).max_distance + 0.05
         if threshold > 1:
             continue
-        graph = build_author_graph(team, threshold)
-        assert connected_components(graph)[0] == 1
+        assert paper_diversity("p", team, threshold).n_components == 1
 
 
 def test_threshold_monotonicity_of_components():
@@ -247,10 +239,10 @@ def test_threshold_monotonicity_of_components():
         vec(f"a{i}", **{t: rng.uniform(0.05, 1) for t in rng.sample(topics, rng.randint(1, 4))})
         for i in range(8)
     ]
-    counts = []
-    for threshold in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
-        graph = build_author_graph(team, threshold)
-        counts.append(connected_components(graph)[0])
+    counts = [
+        paper_diversity("p", team, threshold).n_components
+        for threshold in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    ]
     assert counts == sorted(counts, reverse=True)
 
 
