@@ -50,11 +50,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"output directory (default: ${OUTPUT_ENV_VAR} or ./teamdiv-out)")
     parser.add_argument("--format", default="all",
                         help="comma-separated render formats: csv,markdown,svg (default: all)")
-    strictness = parser.add_mutually_exclusive_group()
-    strictness.add_argument("--strict", dest="strict", action="store_true", default=True,
-                            help="abort on the first invalid record (default)")
-    strictness.add_argument("--lenient", dest="strict", action="store_false",
-                            help="skip invalid records with a warning")
+    parser.add_argument("--lenient", action="store_true",
+                        help="skip and count invalid lines instead of aborting on the first")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for per-paper metrics (affects wall time only)")
 
@@ -70,11 +67,17 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
                         help="use <= instead of < at the edge threshold")
 
 
+def _read_json(path: str) -> object:
+    """Decode a JSON side file; any failure to read or decode it is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def build_config(args: argparse.Namespace) -> AnalysisConfig:
-    settings: object = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            settings = json.load(handle)
+    settings = _read_json(args.config) if args.config else {}
     overrides = {
         "window_years": args.window_years,
         "top_k": args.top_k,
@@ -118,17 +121,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         formats = _parse_formats(args.format)
         config = build_config(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        corpus = load_corpus(args.corpus, strict=args.strict)
+        corpus = load_corpus(args.corpus, strict=not args.lenient)
     except OSError as exc:
         print(f"error: cannot read {args.corpus}: {exc}", file=sys.stderr)
         return EXIT_IO
     except CorpusValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    print(f"records skipped: {corpus.skipped}")
 
     selected = select_analysis_set(corpus, config)
     if not selected:
@@ -169,21 +173,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    settings: dict = {}
-    if args.params:
-        try:
-            with open(args.params, "r", encoding="utf-8") as handle:
-                settings.update(json.load(handle))
-        except OSError as exc:
-            print(f"error: cannot read {args.params}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        settings.pop("rng", None)
-        if "team_size_distribution" in settings:
-            settings["team_size_distribution"] = {
-                int(k): v for k, v in settings["team_size_distribution"].items()
-            }
-        if "year_range" in settings:
-            settings["year_range"] = tuple(settings["year_range"])
+    settings = _read_json(args.params) if args.params else {}
+    if not isinstance(settings, dict):
+        raise ConfigError(f"params must be a JSON object, got {type(settings).__name__}")
+    settings.pop("rng", None)
     overrides = {
         "seed": args.seed,
         "n_authors": args.authors,
@@ -195,12 +188,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "citation_noise": args.citation_noise,
     }
     settings.update({k: v for k, v in overrides.items() if v is not None})
+    # params.json spells year_range as an array and team sizes as string keys
+    if isinstance(settings.get("year_range"), list):
+        settings["year_range"] = tuple(settings["year_range"])
     try:
+        if isinstance(settings.get("team_size_distribution"), dict):
+            settings["team_size_distribution"] = {
+                int(k): v for k, v in settings["team_size_distribution"].items()
+            }
         params = SynthParams(**settings)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # an unknown key is a TypeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    corpus = generate_corpus(params)
+    try:
+        corpus = generate_corpus(params)
+    except ValueError as exc:  # more clusters than authors, or a value numpy's samplers reject
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     out_dir = Path(args.output or _default_output())
     corpus_path = out_dir / "corpus.jsonl"
     try:

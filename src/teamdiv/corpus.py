@@ -6,7 +6,9 @@ The on-disk format is JSONL, one record per line:
      "citations_5y": int}
 
 ``citations_5y`` may be omitted (records that only feed expertise windows).
-Unknown keys are ignored.
+Unknown keys are ignored. Blank lines are skipped. Problems are named by
+physical line number, blank lines included; a line holding bytes that are
+not UTF-8 is reported as ``invalid UTF-8``.
 """
 from __future__ import annotations
 
@@ -88,6 +90,10 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_pair(value: object) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == 2
 
@@ -108,9 +114,8 @@ class AnalysisConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        threshold = self.edge_threshold
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise ConfigError(f"edge_threshold must be a number, got {threshold!r}")
+        if not _is_number(self.edge_threshold):
+            raise ConfigError(f"edge_threshold must be a number, got {self.edge_threshold!r}")
         if not isinstance(self.inclusive_threshold, bool):
             raise ConfigError(
                 f"inclusive_threshold must be true or false, got {self.inclusive_threshold!r}"
@@ -264,92 +269,77 @@ def _coerce_record(position: int, raw: Mapping) -> PaperRecord:
     )
 
 
+def _decode_line(lineno: int, line: str) -> object:
+    # Lines are read with errors="surrogateescape", so an undecodable byte
+    # is a lone surrogate that cannot re-encode. isascii() is O(1).
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusValidationError(lineno, "invalid UTF-8") from None
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also deep nesting and the int-digit limit
+        raise CorpusValidationError(lineno, f"invalid JSON: {exc}") from None
+
+
+def _check_records(entries: Iterable, jsonl: bool) -> Iterator[PaperRecord | CorpusValidationError]:
+    """Yield each record in order, as a ``PaperRecord`` or as the error rejecting it.
+
+    JSONL lines are decoded here and numbered by physical line; blank lines
+    are skipped but counted. Decoded records are numbered from 1.
+    """
+    seen: set[str] = set()
+    for position, raw in enumerate(entries, start=1):
+        try:
+            if jsonl:
+                if not (raw := raw.strip()):
+                    continue
+                raw = _decode_line(position, raw)
+            paper = _coerce_record(position, raw)
+            if paper.id in seen:
+                raise CorpusValidationError(position, f"duplicate paper id {paper.id!r}")
+        except CorpusValidationError as exc:
+            yield exc
+            continue
+        seen.add(paper.id)
+        yield paper
+
+
+def _build_corpus(checked: Iterable[PaperRecord | CorpusValidationError], strict: bool) -> Corpus:
+    papers: list[PaperRecord] = []
+    skipped = 0
+    for item in checked:
+        if isinstance(item, PaperRecord):
+            papers.append(item)
+        elif strict:
+            raise item
+        else:
+            skipped += 1
+            log.warning("skipping invalid record: %s", item)
+    return Corpus.from_papers(papers, skipped=skipped)
+
+
 def parse_corpus(records: Iterable[Mapping], strict: bool = True) -> Corpus:
-    """Validate a stream of raw records and build an indexed corpus.
+    """Validate a stream of decoded records and build an indexed corpus.
 
     In strict mode the first invalid record aborts the parse; in lenient
     mode invalid records are skipped with a logged warning and counted in
     ``Corpus.skipped``. Record order is preserved.
     """
-    papers: list[PaperRecord] = []
-    seen: set[str] = set()
-    skipped = 0
-    for position, raw in enumerate(records, start=1):
-        try:
-            paper = _coerce_record(position, raw)
-            if paper.id in seen:
-                raise CorpusValidationError(position, f"duplicate paper id {paper.id!r}")
-        except CorpusValidationError as exc:
-            if strict:
-                raise
-            skipped += 1
-            log.warning("skipping invalid record: %s", exc)
-            continue
-        seen.add(paper.id)
-        papers.append(paper)
-    return Corpus.from_papers(papers, skipped=skipped)
-
-
-def iter_jsonl(path: str | Path) -> Iterator[Mapping]:
-    """Yield one decoded object per nonempty line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusValidationError(lineno, f"invalid JSON: {exc}") from exc
+    return _build_corpus(_check_records(records, jsonl=False), strict)
 
 
 def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
-    return parse_corpus(iter_jsonl(path), strict=strict)
-
-
-def collect_problems(records: Iterable[Mapping]) -> list[CorpusValidationError]:
-    """Scan a record stream and report every schema violation."""
-    problems: list[CorpusValidationError] = []
-    seen: set[str] = set()
-    for position, raw in enumerate(records, start=1):
-        try:
-            paper = _coerce_record(position, raw)
-        except CorpusValidationError as exc:
-            problems.append(exc)
-            continue
-        if paper.id in seen:
-            problems.append(CorpusValidationError(position, f"duplicate paper id {paper.id!r}"))
-        else:
-            seen.add(paper.id)
-    return problems
+    """``parse_corpus`` over a JSONL file; any bad line is an invalid record."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        return _build_corpus(_check_records(handle, jsonl=True), strict)
 
 
 def validate_jsonl(path: str | Path) -> list[CorpusValidationError]:
     """Report every violation in a JSONL file, keyed by line number."""
-    problems: list[CorpusValidationError] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(CorpusValidationError(lineno, f"invalid JSON: {exc}"))
-                continue
-            try:
-                paper = _coerce_record(lineno, raw)
-            except CorpusValidationError as exc:
-                problems.append(exc)
-                continue
-            if paper.id in seen:
-                problems.append(
-                    CorpusValidationError(lineno, f"duplicate paper id {paper.id!r}")
-                )
-            else:
-                seen.add(paper.id)
-    return problems
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        return [e for e in _check_records(handle, jsonl=True) if not isinstance(e, PaperRecord)]
 
 
 def record_to_dict(paper: PaperRecord) -> dict:

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, PaperRecord
+from .corpus import Corpus, PaperRecord, _is_int, _is_number, _is_pair
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -77,6 +77,18 @@ class SynthParams:
     citation_noise: float = 0.35
 
     def __post_init__(self):
+        for name in ("seed", "n_authors", "n_topics", "n_papers", "n_expertise_clusters"):
+            if not _is_int(getattr(self, name)):
+                raise InfeasibleParamsError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("cluster_mix", "coupling", "citation_noise"):
+            if not _is_number(getattr(self, name)):
+                raise InfeasibleParamsError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not _is_pair(self.year_range) or not all(map(_is_int, self.year_range)):
+            raise InfeasibleParamsError(f"year_range must be two integers, got {self.year_range!r}")
+        if not isinstance(self.team_size_distribution, Mapping) or not all(
+            _is_int(s) and _is_number(p) for s, p in self.team_size_distribution.items()
+        ):
+            raise InfeasibleParamsError("team_size_distribution must map integer sizes to numbers")
         if self.n_authors < 2 or self.n_topics < 1 or self.n_papers < 1:
             raise InfeasibleParamsError("counts must be positive (>=2 authors)")
         if self.year_range[0] > self.year_range[1]:

@@ -2,8 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teamdiv.cli import main
+from teamdiv.corpus import AnalysisConfig
+from teamdiv.synth import SynthParams
 from tests.conftest import record
 
 
@@ -11,9 +14,9 @@ def write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
 
 
-@pytest.fixture
-def valid_corpus_path(tmp_path):
-    path = tmp_path / "corpus.jsonl"
+@pytest.fixture(scope="module")
+def valid_corpus_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("valid") / "corpus.jsonl"
     records = []
     for i in range(6):
         a, b = f"x{i}", f"y{i}"
@@ -146,13 +149,111 @@ def test_strict_parse_fails_on_bad_record(tmp_path, capsys):
     assert "empty authors" in capsys.readouterr().err
 
 
-def test_lenient_parse_skips_bad_record(valid_corpus_path, tmp_path):
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        pytest.param(json.dumps(record("bad", 2013, [], ["t"])).encode(), id="schema"),
+        pytest.param(b"{not json", id="not-json"),
+        pytest.param(b'{"id": "\xff"}', id="non-utf8"),
+        pytest.param(b"[" * 200_000, id="deep-nesting"),
+        pytest.param(
+            b'{"id": "big", "year": ' + b"9" * 5000 + b', "authors": ["a"], "topics": ["t"]}',
+            id="huge-int",
+        ),
+    ],
+)
+def test_lenient_parse_skips_bad_record(valid_corpus_path, tmp_path, capsys, bad_line):
     broken = tmp_path / "mixed.jsonl"
-    lines = valid_corpus_path.read_text().splitlines()
-    lines.insert(3, json.dumps(record("bad", 2013, [], ["t"])))
-    broken.write_text("\n".join(lines) + "\n")
+    lines = valid_corpus_path.read_bytes().splitlines()
+    lines.insert(3, bad_line)
+    broken.write_bytes(b"\n".join(lines) + b"\n")
     out_dir = tmp_path / "out"
     assert main(["analyze", str(broken), "--lenient", "--output", str(out_dir)]) == 0
+    assert "records skipped: 1" in capsys.readouterr().out
+
+
+def test_analyze_and_validate_name_the_same_line(tmp_path, capsys):
+    path = tmp_path / "blanks.jsonl"
+    good = json.dumps(record("p1", 2012, ["a"], ["t"]))
+    bad = json.dumps(record("p2", 2013, [], ["t"]))
+    path.write_text(f"\n{good}\n\n  \n{bad}\n")
+    assert main(["validate", str(path)]) == 1
+    assert "record 5: empty authors" in capsys.readouterr().out
+    assert main(["analyze", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert "error: record 5: empty authors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--config", "[" * 200_000),
+        ("--params", "{bad"),
+        ("--params", "[1,2]"),
+        ("--params", '{"team_size_distribution": {"x": 1}}'),
+        ("--params", '{"seed": 1.5}'),
+        ("--params", '{"seed": -1}'),
+    ],
+    ids=["config-deep-nesting", "params-not-json", "params-not-object", "params-bad-team-size",
+         "params-float-seed", "params-negative-seed"],
+)
+def test_json_side_file_mistakes_exit_2(valid_corpus_path, tmp_path, capsys, flag, content):
+    side = tmp_path / "side.json"
+    side.write_text(content)
+    command = ["analyze", str(valid_corpus_path)] if flag == "--config" else ["synth"]
+    code = main(command + [flag, str(side), "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def json_values(keys):
+    """Arbitrary JSON whose objects often hold only the keys a reader knows."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+        | st.fixed_dictionaries({}, optional=dict.fromkeys(keys, inner)),
+        max_leaves=12,
+    )
+
+
+def file_contents(keys):
+    values = json_values(keys)
+    objects = st.fixed_dictionaries({}, optional=dict.fromkeys(keys, values))
+    return (
+        st.binary(max_size=120)
+        | (values | objects).map(lambda v: json.dumps(v).encode())
+        | st.lists(values | objects, max_size=4).map(
+            lambda vs: "\n".join(map(json.dumps, vs)).encode())
+    )
+
+
+RECORD_KEYS = ("id", "year", "authors", "topics", "citations_5y")
+FUZZ_COMMANDS = [
+    (("validate", "{file}"), RECORD_KEYS),
+    (("analyze", "{file}", "--output", "{out}"), RECORD_KEYS),
+    (("analyze", "{file}", "--lenient", "--output", "{out}"), RECORD_KEYS),
+    (("analyze", "{corpus}", "--config", "{file}", "--output", "{out}"),
+     tuple(AnalysisConfig.__dataclass_fields__)),
+    # the size flags win over the file, so no fuzzed params can ask for a large corpus
+    (("synth", "--params", "{file}", "--papers", "3", "--authors", "12", "--topics", "4",
+      "--clusters", "2", "--output", "{out}"), tuple(SynthParams.__dataclass_fields__)),
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=st.sampled_from(FUZZ_COMMANDS).flatmap(
+    lambda c: st.tuples(st.just(c[0]), file_contents(c[1]))))
+def test_malformed_input_never_escapes_main(valid_corpus_path, case):
+    command, content = case
+    work = valid_corpus_path.parent
+    (work / "fuzz.bin").write_bytes(content)
+    names = {
+        "{file}": str(work / "fuzz.bin"),
+        "{corpus}": str(valid_corpus_path),
+        "{out}": str(work / "out"),
+    }
+    assert main([names.get(arg, arg) for arg in command]) in (0, 1, 2)
 
 
 def test_synth_then_analyze_round_trip(tmp_path, capsys):

@@ -8,7 +8,6 @@ from teamdiv.corpus import (
     CorpusValidationError,
     assign_bucket,
     build_author_index,
-    collect_problems,
     load_corpus,
     parse_corpus,
     prior_window,
@@ -89,24 +88,43 @@ def test_jsonl_round_trip(tmp_path, small_corpus):
     assert again.author_index == small_corpus.author_index
 
 
-def test_validate_jsonl_reports_line_numbers(tmp_path):
+def _line(*args, **kwargs) -> bytes:
+    return json.dumps(record(*args, **kwargs)).encode()
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        pytest.param(
+            [_line("p1", 2010, ["a"], ["t"]), b"{not json", _line("p1", 2011, ["b"], ["t"]),
+             _line("p3", 2011, [], ["t"])],
+            {2: "invalid JSON", 3: "duplicate paper id 'p1'", 4: "empty authors"},
+            id="mixed",
+        ),
+        pytest.param(
+            [b"", _line("p1", 2010, ["a"], ["t"]), b"   ", _line("p3", 2011, [], ["t"])],
+            {4: "empty authors"},
+            id="blank-lines-counted",
+        ),
+        pytest.param(
+            [_line("p1", 2010, ["a"], ["t"]), b'{"id": "p2\xff"}', _line("p3", 2011, ["b"], ["t"])],
+            {2: "invalid UTF-8"},
+            id="non-utf8",
+        ),
+        pytest.param(
+            [_line("p1", 2010, [], ["t"]), _line("p2", "x", ["a"], ["t"])],
+            {1: "empty authors", 2: "non-integer year"},
+            id="whole-stream",
+        ),
+    ],
+)
+def test_validate_jsonl_reports_line_numbers(tmp_path, lines, expected):
     path = tmp_path / "corpus.jsonl"
-    lines = [
-        json.dumps(record("p1", 2010, ["a"], ["t"])),
-        "{not json",
-        json.dumps(record("p1", 2011, ["b"], ["t"])),
-        json.dumps(record("p3", 2011, [], ["t"])),
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     problems = validate_jsonl(path)
-    assert [p.position for p in problems] == [2, 3, 4]
-    assert "duplicate paper id 'p1'" in str(problems[1])
-
-
-def test_collect_problems_scans_whole_stream():
-    records = [record("p1", 2010, [], ["t"]), record("p2", "x", ["a"], ["t"])]
-    problems = collect_problems(records)
-    assert len(problems) == 2
+    assert [p.position for p in problems] == list(expected)
+    for problem, reason in zip(problems, expected.values()):
+        assert reason in problem.reason
 
 
 # --- prior_window ---
