@@ -8,16 +8,17 @@ The on-disk format is JSONL, one record per line:
 ``citations_5y`` may be omitted (records that only feed expertise windows).
 Unknown keys are ignored. Blank lines are skipped. Problems are named by
 physical line number, blank lines included; a line holding bytes that are
-not UTF-8 is reported as ``invalid UTF-8``.
+not UTF-8, or an id, author or topic whose JSON escapes decode to a lone
+surrogate, is reported as ``invalid UTF-8``.
 """
 from __future__ import annotations
 
 import json
 import logging
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -283,6 +284,16 @@ def _decode_line(lineno: int, line: str) -> object:
         raise CorpusValidationError(lineno, f"invalid JSON: {exc}") from None
 
 
+def _check_escapes(position: int, paper: PaperRecord) -> None:
+    # A JSON \u escape can decode to a lone surrogate, which no UTF-8
+    # output accepts; a valid surrogate pair decodes to one character.
+    try:
+        for text in (paper.id, *paper.authors, *paper.topics):
+            text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusValidationError(position, "invalid UTF-8") from None
+
+
 def _check_records(entries: Iterable, jsonl: bool) -> Iterator[PaperRecord | CorpusValidationError]:
     """Yield each record in order, as a ``PaperRecord`` or as the error rejecting it.
 
@@ -293,10 +304,12 @@ def _check_records(entries: Iterable, jsonl: bool) -> Iterator[PaperRecord | Cor
     for position, raw in enumerate(entries, start=1):
         try:
             if jsonl:
-                if not (raw := raw.strip()):
+                if not (line := raw.strip()):
                     continue
-                raw = _decode_line(position, raw)
+                raw = _decode_line(position, line)
             paper = _coerce_record(position, raw)
+            if jsonl and "\\u" in line:
+                _check_escapes(position, paper)
             if paper.id in seen:
                 raise CorpusValidationError(position, f"duplicate paper id {paper.id!r}")
         except CorpusValidationError as exc:
@@ -361,16 +374,20 @@ def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             handle.write("\n")
 
 
+def _window_bounds(
+    entries: Sequence[tuple[int, str]], year: int, window_years: int
+) -> tuple[int, int]:
+    """Slice bounds of the (year, id) entries in [year - window_years, year - 1]."""
+    return bisect_left(entries, (year - window_years,)), bisect_left(entries, (year,))
+
+
 def prior_window(corpus: Corpus, author: str, year: int, window_years: int) -> list[str]:
     """Paper ids the author published in [year - window_years, year - 1].
 
     Unknown authors yield an empty list. Results are sorted by year.
     """
-    entries = corpus.author_index.get(author)
-    if not entries:
-        return []
-    lo = bisect_left(entries, (year - window_years,))
-    hi = bisect_left(entries, (year,))
+    entries = corpus.author_index.get(author, [])
+    lo, hi = _window_bounds(entries, year, window_years)
     return [paper_id for _, paper_id in entries[lo:hi]]
 
 
@@ -383,6 +400,7 @@ def select_analysis_set(corpus: Corpus, config: AnalysisConfig) -> set[str]:
     in the window_years years before publication.
     """
     start, end = config.year_range
+    index = corpus.author_index
     selected: set[str] = set()
     for paper in corpus.papers:
         if not start <= paper.year <= end:
@@ -391,10 +409,11 @@ def select_analysis_set(corpus: Corpus, config: AnalysisConfig) -> set[str]:
             continue
         if len(paper.authors) < config.min_authors:
             continue
-        if all(
-            prior_window(corpus, author, paper.year, config.window_years)
-            for author in paper.authors
-        ):
+        for author in paper.authors:
+            lo, hi = _window_bounds(index.get(author, ()), paper.year, config.window_years)
+            if lo >= hi:
+                break
+        else:
             selected.add(paper.id)
     return selected
 

@@ -3,9 +3,10 @@
 Two metrics per paper, both taken from the same pairwise cosine distances:
 the maximum distance within the team, and the number of connected
 components of the author-similarity graph (edge when a pair's distance
-falls below the threshold). ``paper_diversity`` computes each distance
-once and folds it into both. Component counts map onto four ordered
-diversity categories.
+falls below the threshold). ``paper_diversity`` computes each member's
+vector norm once and each pair's distance once, and folds the distance into
+both metrics; the per-pair work is the dot product over shared topics.
+Component counts map onto four ordered diversity categories.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .expertise import ExpertiseVector
 
@@ -61,15 +62,23 @@ def cosine_distance(u: ExpertiseVector, v: ExpertiseVector) -> float:
         raise UndefinedDistanceError(
             f"distance undefined for empty vector ({u.owner!r} vs {v.owner!r})"
         )
-    a, b = u.entries, v.entries
+    return _distance(u.entries, v.entries, _norm(u.entries) * _norm(v.entries))
+
+
+def _norm(entries: Mapping[str, float]) -> float:
+    return math.sqrt(math.fsum(w * w for w in entries.values()))
+
+
+def _distance(a: Mapping[str, float], b: Mapping[str, float], norms: float) -> float:
+    """Cosine distance of two nonempty vectors, given the product of their norms."""
     if len(b) < len(a):
         a, b = b, a
+    shared = [w * b[t] for t, w in a.items() if t in b]
+    if not shared:
+        return 1.0
     # fsum keeps the dot product independent of summation order, so the
     # distance is exactly symmetric in its arguments
-    dot = math.fsum(w * b[t] for t, w in a.items() if t in b)
-    norm_u = math.sqrt(math.fsum(w * w for w in u.entries.values()))
-    norm_v = math.sqrt(math.fsum(w * w for w in v.entries.values()))
-    distance = 1.0 - dot / (norm_u * norm_v)
+    distance = 1.0 - math.fsum(shared) / norms
     # snap float drift onto the exact endpoints so 0/1 counting is stable
     if distance < _CLAMP:
         return 0.0
@@ -108,7 +117,8 @@ def paper_diversity(
         raise ValueError("team must be nonempty")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    usable = [v for v in team if not v.is_empty]
+    usable = [v.entries for v in team if not v.is_empty]
+    norms = [_norm(entries) for entries in usable]
     n = len(usable)
     parent = list(range(n))
 
@@ -121,8 +131,9 @@ def paper_diversity(
     largest = 0.0
     unions = 0
     for i, u in enumerate(usable):
+        norm_i = norms[i]
         for j in range(i):
-            d = cosine_distance(u, usable[j])
+            d = _distance(u, usable[j], norm_i * norms[j])
             if d > largest:
                 largest = d
             if d < threshold or (inclusive and d == threshold):

@@ -1,9 +1,11 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import teamdiv.cli as cli
 from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig
 from teamdiv.synth import SynthParams
@@ -14,17 +16,20 @@ def write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
 
 
-@pytest.fixture(scope="module")
-def valid_corpus_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("valid") / "corpus.jsonl"
+def write_valid_corpus(path, n_papers):
     records = []
-    for i in range(6):
+    for i in range(n_papers):
         a, b = f"x{i}", f"y{i}"
         records.append(record(f"w_{a}", 2012, [a], ["ml"]))
         records.append(record(f"w_{b}", 2012, [b], [f"solo{i}"]))
         records.append(record(f"p{i}", 2013, [a, b], ["ml"], citations=3 + 40 * i))
     write_jsonl(path, records)
     return path
+
+
+@pytest.fixture(scope="module")
+def valid_corpus_path(tmp_path_factory):
+    return write_valid_corpus(tmp_path_factory.mktemp("valid") / "corpus.jsonl", 6)
 
 
 def snapshot(directory: Path) -> dict:
@@ -155,6 +160,10 @@ def test_strict_parse_fails_on_bad_record(tmp_path, capsys):
         pytest.param(json.dumps(record("bad", 2013, [], ["t"])).encode(), id="schema"),
         pytest.param(b"{not json", id="not-json"),
         pytest.param(b'{"id": "\xff"}', id="non-utf8"),
+        pytest.param(
+            b'{"id": "s\\ud800", "year": 2012, "authors": ["x0"], "topics": ["t"]}',
+            id="lone-surrogate",
+        ),
         pytest.param(b"[" * 200_000, id="deep-nesting"),
         pytest.param(
             b'{"id": "big", "year": ' + b"9" * 5000 + b', "authors": ["a"], "topics": ["t"]}',
@@ -170,6 +179,50 @@ def test_lenient_parse_skips_bad_record(valid_corpus_path, tmp_path, capsys, bad
     out_dir = tmp_path / "out"
     assert main(["analyze", str(broken), "--lenient", "--output", str(out_dir)]) == 0
     assert "records skipped: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_analyze_runs_without_cyclic_gc(valid_corpus_path, tmp_path, monkeypatch, enabled):
+    seen = []
+    real_load = cli.load_corpus
+
+    def load(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_corpus", load)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(valid_corpus_path.read_bytes() + b"{bad\n")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["analyze", str(valid_corpus_path), "--output", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["analyze", str(bad), "--output", str(tmp_path / "o"), "--jobs", "1"]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
+
+
+def test_analyze_garbage_does_not_grow_with_the_corpus(tmp_path):
+    # Cycles left by one run (argparse's parser, the JSON encoder behind
+    # config.json) are a fixed set; none may come from per-record data.
+    found = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n_papers in (6, 60):
+            path = write_valid_corpus(tmp_path / f"c{n_papers}.jsonl", n_papers)
+            gc.collect()
+            assert main(["analyze", str(path), "--output", str(tmp_path / f"o{n_papers}"),
+                         "--jobs", "1"]) == 0
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[0] == found[1]
 
 
 def test_analyze_and_validate_name_the_same_line(tmp_path, capsys):

@@ -116,6 +116,18 @@ def _line(*args, **kwargs) -> bytes:
             {1: "empty authors", 2: "non-integer year"},
             id="whole-stream",
         ),
+        pytest.param(
+            [_line("p\ud800", 2010, ["a"], ["t"]), _line("p2", 2010, ["a\udfff"], ["t"]),
+             _line("p3", 2010, ["a"], ["t", "\ud83d"]), _line("p4", 2010, ["a"], ["t"])],
+            {1: "invalid UTF-8", 2: "invalid UTF-8", 3: "invalid UTF-8"},
+            id="lone-surrogate",
+        ),
+        pytest.param(
+            [_line("p\ud83d\ude00", 2010, ["a\U0001f600"], ["t"]), b'{"id": "\\\\ud800", '
+             b'"year": 2010, "authors": ["a"], "topics": ["t"]}'],
+            {},
+            id="valid-surrogate-pair",
+        ),
     ],
 )
 def test_validate_jsonl_reports_line_numbers(tmp_path, lines, expected):
@@ -184,6 +196,23 @@ def test_select_excludes_author_without_priors():
     ]
     corpus = parse_corpus(records)
     assert select_analysis_set(corpus, AnalysisConfig()) == set()
+
+
+@pytest.mark.parametrize(
+    "window, prior_year, included",
+    [(5, 2008, True), (5, 2007, False), (5, 2013, False),
+     (1, 2012, True), (1, 2011, False), (1, 2013, False)],
+)
+def test_select_window_boundaries(window, prior_year, included):
+    # the window of a 2013 paper is [2013 - window, 2012]
+    records = [
+        record("wa", 2012, ["a"], ["t"]),
+        record("wb", prior_year, ["b"], ["t"]),
+        record("p1", 2013, ["a", "b"], ["t"], citations=5),
+    ]
+    corpus = parse_corpus(records)
+    selected = select_analysis_set(corpus, AnalysisConfig(window_years=window))
+    assert selected == ({"p1"} if included else set())
 
 
 def test_select_year_and_citation_bounds(small_corpus):

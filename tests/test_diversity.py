@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -75,6 +76,34 @@ def test_scale_invariance_property(entries, scale):
     )
 
 
+def _per_pair_distance(u, v):
+    # reference: the union-of-topics formula with both norms taken per pair
+    dot = math.fsum(w * v.entries.get(t, 0.0) for t, w in u.entries.items())
+    norm_u = math.sqrt(math.fsum(w * w for w in u.entries.values()))
+    norm_v = math.sqrt(math.fsum(w * w for w in v.entries.values()))
+    d = 1.0 - dot / (norm_u * norm_v)
+    return 0.0 if d < 1e-12 else 1.0 if d > 1.0 - 1e-12 else d
+
+
+@given(
+    st.lists(
+        st.dictionaries(
+            st.sampled_from([f"t{i}" for i in range(8)]),
+            st.floats(min_value=1e-6, max_value=1.0),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=2,
+        max_size=8,
+    )
+)
+def test_team_distances_match_per_pair_norms(weights):
+    team = [ExpertiseVector(owner=f"a{i}", entries=w, k=10) for i, w in enumerate(weights)]
+    expected = [_per_pair_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)]
+    assert [cosine_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)] == expected
+    assert paper_diversity("p", team, 0.3).max_distance == max(expected)
+
+
 # --- pairs / max distance ---
 
 
@@ -86,13 +115,19 @@ def test_pair_counts():
 
 
 def test_one_distance_per_pair(monkeypatch):
-    calls = []
+    calls, norms = [], []
+    distance, norm = diversity._distance, diversity._norm
 
-    def counting(u, v):
-        calls.append((u.owner, v.owner))
-        return cosine_distance(u, v)
+    def counting_distance(a, b, product):
+        calls.append((id(a), id(b)))
+        return distance(a, b, product)
 
-    monkeypatch.setattr(diversity, "cosine_distance", counting)
+    def counting_norm(entries):
+        norms.append(id(entries))
+        return norm(entries)
+
+    monkeypatch.setattr(diversity, "_distance", counting_distance)
+    monkeypatch.setattr(diversity, "_norm", counting_norm)
     rng = random.Random(13)
     team = [
         vec(f"a{i}", **{f"t{j}": rng.uniform(0.1, 1) for j in rng.sample(range(5), 2)})
@@ -101,6 +136,8 @@ def test_one_distance_per_pair(monkeypatch):
     result = paper_diversity("p", team, threshold=0.3)
     assert len(calls) == result.pair_count == 45
     assert len({frozenset(pair) for pair in calls}) == 45
+    # one norm per usable member, none per pair
+    assert len(norms) == len(set(norms)) == 10
 
 
 def test_pairwise_matches_nested_loop_oracle():
