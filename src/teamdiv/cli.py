@@ -100,6 +100,10 @@ def _parse_formats(value: str) -> tuple[str, ...]:
     unknown = set(formats) - set(ALL_FORMATS)
     if unknown:
         raise ValueError(f"unknown formats: {sorted(unknown)}")
+    if not formats:
+        raise ValueError(
+            f"--format {value!r} names no format (choose from {','.join(ALL_FORMATS)} or all)"
+        )
     return formats
 
 

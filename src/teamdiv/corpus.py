@@ -10,6 +10,12 @@ Unknown keys are ignored. Blank lines are skipped. Problems are named by
 physical line number, blank lines included; a line holding bytes that are
 not UTF-8, or an id, author or topic whose JSON escapes decode to a lone
 surrogate, is reported as ``invalid UTF-8``.
+
+Checking and building are separate steps. One generator checks every
+record and yields the decoded mapping or the error rejecting it;
+``validate_jsonl`` keeps only the errors and builds nothing. ``load_corpus``
+and ``parse_corpus`` build a ``PaperRecord`` from each kept mapping, sharing
+one object per distinct topic, topic set and year within the load.
 """
 from __future__ import annotations
 
@@ -234,7 +240,8 @@ def build_author_index(papers: Iterable[PaperRecord]) -> dict[str, list[tuple[in
     return index
 
 
-def _coerce_record(position: int, raw: Mapping) -> PaperRecord:
+def _check_record(position: int, raw: object) -> str:
+    """Check one decoded record against the schema and return its id."""
     if not isinstance(raw, Mapping):
         raise CorpusValidationError(position, "record is not an object")
     paper_id = raw.get("id")
@@ -261,13 +268,7 @@ def _coerce_record(position: int, raw: Mapping) -> PaperRecord:
             raise CorpusValidationError(
                 position, f"citations_5y must be a nonnegative integer in {paper_id!r}"
             )
-    return PaperRecord(
-        id=paper_id,
-        year=year,
-        authors=tuple(authors),
-        topics=frozenset(topics),
-        citations_5y=citations,
-    )
+    return paper_id
 
 
 def _decode_line(lineno: int, line: str) -> object:
@@ -284,21 +285,23 @@ def _decode_line(lineno: int, line: str) -> object:
         raise CorpusValidationError(lineno, f"invalid JSON: {exc}") from None
 
 
-def _check_escapes(position: int, paper: PaperRecord) -> None:
+def _check_escapes(position: int, raw: Mapping) -> None:
     # A JSON \u escape can decode to a lone surrogate, which no UTF-8
     # output accepts; a valid surrogate pair decodes to one character.
     try:
-        for text in (paper.id, *paper.authors, *paper.topics):
+        for text in (raw["id"], *raw["authors"], *raw["topics"]):
             text.encode("utf-8")
     except UnicodeEncodeError:
         raise CorpusValidationError(position, "invalid UTF-8") from None
 
 
-def _check_records(entries: Iterable, jsonl: bool) -> Iterator[PaperRecord | CorpusValidationError]:
-    """Yield each record in order, as a ``PaperRecord`` or as the error rejecting it.
+def _check_records(entries: Iterable, jsonl: bool) -> Iterator[Mapping | CorpusValidationError]:
+    """Yield each record in order, as its checked mapping or as the error rejecting it.
 
     JSONL lines are decoded here and numbered by physical line; blank lines
-    are skipped but counted. Decoded records are numbered from 1.
+    are skipped but counted. Decoded records are numbered from 1. Only JSONL
+    lines holding a ``\\u`` escape can decode to a lone surrogate, so only
+    those are searched for one; in-memory records are always searched.
     """
     seen: set[str] = set()
     for position, raw in enumerate(entries, start=1):
@@ -307,29 +310,44 @@ def _check_records(entries: Iterable, jsonl: bool) -> Iterator[PaperRecord | Cor
                 if not (line := raw.strip()):
                     continue
                 raw = _decode_line(position, line)
-            paper = _coerce_record(position, raw)
-            if jsonl and "\\u" in line:
-                _check_escapes(position, paper)
-            if paper.id in seen:
-                raise CorpusValidationError(position, f"duplicate paper id {paper.id!r}")
+            paper_id = _check_record(position, raw)
+            if not jsonl or "\\u" in line:
+                _check_escapes(position, raw)
+            if paper_id in seen:
+                raise CorpusValidationError(position, f"duplicate paper id {paper_id!r}")
         except CorpusValidationError as exc:
             yield exc
             continue
-        seen.add(paper.id)
-        yield paper
+        seen.add(paper_id)
+        yield raw
 
 
-def _build_corpus(checked: Iterable[PaperRecord | CorpusValidationError], strict: bool) -> Corpus:
+def _build_corpus(checked: Iterable[Mapping | CorpusValidationError], strict: bool) -> Corpus:
     papers: list[PaperRecord] = []
     skipped = 0
+    # One object per distinct topic, topic set and year, shared by every
+    # record that repeats it: a corpus repeats a few hundred topics and years
+    # across all its records. A set seen before needs no per-topic lookup.
+    shared: dict = {}
+    share = shared.setdefault
     for item in checked:
-        if isinstance(item, PaperRecord):
-            papers.append(item)
-        elif strict:
-            raise item
-        else:
+        if isinstance(item, CorpusValidationError):
+            if strict:
+                raise item
             skipped += 1
             log.warning("skipping invalid record: %s", item)
+            continue
+        topics = frozenset(item["topics"])
+        if (kept := shared.get(topics)) is None:
+            kept = frozenset(map(share, topics, topics))
+            shared[kept] = kept
+        year = item["year"]
+        papers.append(
+            PaperRecord(
+                item["id"], share(year, year), tuple(item["authors"]), kept,
+                item.get("citations_5y"),
+            )
+        )
     return Corpus.from_papers(papers, skipped=skipped)
 
 
@@ -350,9 +368,10 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
 
 
 def validate_jsonl(path: str | Path) -> list[CorpusValidationError]:
-    """Report every violation in a JSONL file, keyed by line number."""
+    """Report every violation in a JSONL file, keyed by line number; builds no records."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return [e for e in _check_records(handle, jsonl=True) if not isinstance(e, PaperRecord)]
+        checked = _check_records(handle, jsonl=True)
+        return [e for e in checked if isinstance(e, CorpusValidationError)]
 
 
 def record_to_dict(paper: PaperRecord) -> dict:

@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import svgchart
 from .corpus import AnalysisConfig, CitationBucket, Corpus, select_analysis_set
@@ -141,7 +141,7 @@ def build_profiles(
 
 
 def _score_batch(
-    batch: Sequence[tuple[str, list[ExpertiseVector]]],
+    batch: Iterable[tuple[str, list[ExpertiseVector]]],
     threshold: float,
     inclusive: bool,
 ) -> list[PaperDiversity]:
@@ -166,15 +166,18 @@ def compute_paper_metrics(
     ordered = sorted(paper_ids)
     if profiles is None:
         profiles = build_profiles(corpus, config, ordered)
-    tasks = []
-    for paper_id in ordered:
-        paper = corpus.by_id[paper_id]
-        team = [profiles[(author, paper.year)] for author in paper.authors]
-        tasks.append((paper_id, team))
+
+    def teams() -> Iterator[tuple[str, list[ExpertiseVector]]]:
+        for paper_id in ordered:
+            paper = corpus.by_id[paper_id]
+            yield paper_id, [profiles[(author, paper.year)] for author in paper.authors]
+
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
-    if jobs <= 1 or len(tasks) < 2 * jobs:
-        return _score_batch(tasks, threshold, inclusive)
+    if jobs <= 1 or len(ordered) < 2 * jobs:
+        # each team is scored as it is built, so no list of all teams is held
+        return _score_batch(teams(), threshold, inclusive)
+    tasks = list(teams())
     chunk = max(1, math.ceil(len(tasks) / (jobs * 4)))
     batches = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
     metrics: list[PaperDiversity] = []

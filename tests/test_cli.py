@@ -412,6 +412,20 @@ def test_format_selection(valid_corpus_path, tmp_path):
     assert not (out_dir / "report.md").exists()
 
 
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_format_naming_no_format_is_a_usage_error(valid_corpus_path, tmp_path, monkeypatch,
+                                                   capsys, value):
+    def never_called(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(cli, "load_corpus", never_called)
+    out_dir = tmp_path / "out"
+    assert main(["analyze", str(valid_corpus_path), "--format", value,
+                 "--output", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --format {value!r} names no format")
+    assert not out_dir.exists()
+
+
 def test_tables_check_passes(capsys):
     assert main(["tables-check"]) == 0
     out = capsys.readouterr().out

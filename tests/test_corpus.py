@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import teamdiv.corpus as corpus_module
 from teamdiv.corpus import (
     AnalysisConfig,
     ConfigError,
     CorpusValidationError,
+    PaperRecord,
     assign_bucket,
     build_author_index,
     load_corpus,
@@ -137,6 +140,102 @@ def test_validate_jsonl_reports_line_numbers(tmp_path, lines, expected):
     assert [p.position for p in problems] == list(expected)
     for problem, reason in zip(problems, expected.values()):
         assert reason in problem.reason
+
+
+@pytest.mark.parametrize("field", ["id", "authors", "topics"])
+def test_parse_rejects_lone_surrogate(field):
+    bad = record("p1", 2010, ["a"], ["t"])
+    bad[field] = "p\ud800" if field == "id" else ["x\udfff"]
+    with pytest.raises(CorpusValidationError, match=r"^record 1: invalid UTF-8$"):
+        parse_corpus([bad])
+    corpus = parse_corpus([bad, record("p2", 2011, ["b"], ["t\U0001f600"])], strict=False)
+    assert [p.id for p in corpus.papers] == ["p2"]
+    assert corpus.skipped == 1
+
+
+# --- building: one object per distinct topic, topic set and year ---
+
+
+def _build(records, via, tmp_path=None):
+    # Each record goes through its own json.loads, so no two input records
+    # share a string or an int object before the corpus is built.
+    lines = [json.dumps(r) for r in records]
+    if via == "parse_corpus":
+        return parse_corpus([json.loads(line) for line in lines])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return load_corpus(path)
+
+
+@pytest.mark.parametrize("via", ["parse_corpus", "load_corpus"])
+def test_repeated_topics_topic_sets_and_years_are_one_object(tmp_path, via):
+    records = [
+        record("p1", 2010, ["a"], ["ml", "db"]),
+        record("p2", 2010, ["b"], ["db", "ml"], citations=3),
+        record("p3", 2011, ["c"], ["ml", "hci"]),
+        record("p4", 2011, ["d"], ["hci"]),
+    ]
+    p1, p2, p3, p4 = _build(records, via, tmp_path).papers
+
+    def topic(paper, name):
+        return next(t for t in paper.topics if t == name)
+
+    assert p1.topics == p2.topics and p1.topics is p2.topics
+    assert p1.topics != p3.topics and topic(p1, "ml") is topic(p3, "ml")
+    assert topic(p3, "hci") is topic(p4, "hci")
+    assert p1.year is p2.year and p3.year is p4.year
+
+
+def test_validate_builds_no_records(tmp_path, monkeypatch):
+    built = []
+    real = corpus_module.PaperRecord
+
+    def spy(*args, **kwargs):
+        paper = real(*args, **kwargs)
+        built.append(paper.id)
+        return paper
+
+    monkeypatch.setattr(corpus_module, "PaperRecord", spy)
+    path = tmp_path / "corpus.jsonl"
+    lines = [_line("p1", 2010, ["a"], ["t"]), _line("p2", 2010, [], ["t"]),
+             _line("p3", 2011, ["b"], ["t"])]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert [p.position for p in validate_jsonl(path)] == [2]
+    assert built == []
+    load_corpus(path, strict=False)  # the spy does see the records a load builds
+    assert built == ["p1", "p3"]
+
+
+_names = st.one_of(st.sampled_from(["ml", "db", "hci", "nlp"]),
+                   st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3))
+_records = st.lists(
+    st.fixed_dictionaries(
+        {
+            "year": st.integers(1990, 2030) | st.integers(-(10**30), 10**30),
+            "authors": st.lists(_names, min_size=1, max_size=4, unique=True),
+            "topics": st.lists(_names, min_size=1, max_size=5),
+            "citations_5y": st.none() | st.integers(0, 10**6),
+        }
+    ),
+    max_size=25,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_records)
+def test_parse_builds_what_the_records_say(records):
+    records = [{"id": f"p{i}", **r} for i, r in enumerate(records)]
+    papers = _build(records, "parse_corpus").papers
+    assert list(papers) == [
+        PaperRecord(r["id"], r["year"], tuple(r["authors"]), frozenset(r["topics"]),
+                    r["citations_5y"])
+        for r in records
+    ]
+    # equal values are one object
+    assert len({id(p.topics) for p in papers}) == len({p.topics for p in papers})
+    assert len({id(p.year) for p in papers}) == len({p.year for p in papers})
+    topics = [t for p in papers for t in p.topics]
+    assert len({id(t) for t in topics}) == len(set(topics))
 
 
 # --- prior_window ---
