@@ -53,8 +53,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated render formats: csv,markdown,svg (default: all)")
     parser.add_argument("--lenient", action="store_true",
                         help="skip and count invalid lines instead of aborting on the first")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for per-paper metrics (affects wall time only)")
+    parser.add_argument("--jobs", type=int, choices=[1],
+                        help="accepts only 1; kept so that existing scripts passing --jobs 1 still run")
 
 
 def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
@@ -156,7 +156,7 @@ def _analyze(args: argparse.Namespace) -> int:
         print("error: no papers satisfy the selection constraints", file=sys.stderr)
         return EXIT_FAILURE
     profiles = build_profiles(corpus, config, sorted(selected))
-    metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles, jobs=args.jobs)
+    metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
     report = aggregate_report(corpus, config, metrics)
 
     out_dir = Path(args.output or _default_output())

@@ -153,9 +153,14 @@ class AnalysisConfig:
         for i, (lo, hi) in enumerate(self.bucket_bounds):
             last = i == len(self.bucket_bounds) - 1
             if lo != expected_lo:
+                hint = (
+                    "; bucket_bounds given in a --config file must start at min_citations"
+                    if i == 0
+                    else ""
+                )
                 raise ConfigError(
                     f"bucket_bounds must be contiguous from min_citations: "
-                    f"range {i} starts at {lo}, expected {expected_lo}"
+                    f"range {i} starts at {lo}, expected {expected_lo}{hint}"
                 )
             if last:
                 if hi is not None:
@@ -435,15 +440,3 @@ def select_analysis_set(corpus: Corpus, config: AnalysisConfig) -> set[str]:
         else:
             selected.add(paper.id)
     return selected
-
-
-def assign_bucket(citations: int, config: AnalysisConfig) -> CitationBucket:
-    """The unique citation bucket containing the count."""
-    if citations < config.min_citations:
-        raise ValueError(
-            f"citations {citations} below the minimum of {config.min_citations}"
-        )
-    for bucket in config.buckets:
-        if bucket.contains(citations):
-            return bucket
-    raise AssertionError("bucket bounds failed to cover a valid citation count")

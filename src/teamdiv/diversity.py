@@ -180,22 +180,3 @@ def write_metrics_csv(path: str | Path, metrics: Iterable[PaperDiversity]) -> No
                     m.excluded_authors,
                 ]
             )
-
-
-def read_metrics_csv(path: str | Path) -> list[PaperDiversity]:
-    metrics = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            metrics.append(
-                PaperDiversity(
-                    paper_id=row["paper_id"],
-                    n_authors=int(row["n_authors"]),
-                    pair_count=int(row["pair_count"]),
-                    max_distance=float(row["max_distance"]) if row["max_distance"] else None,
-                    n_components=int(row["n_components"]),
-                    category=DiversityCategory(row["category"]),
-                    excluded_authors=int(row["excluded_authors"]),
-                )
-            )
-    return metrics

@@ -35,11 +35,6 @@ class TopicDistribution:
         return self.counts.get(topic, 0) / self.paper_count
 
 
-# The corpus-wide distribution has the same shape; the alias keeps call
-# sites explicit about which role a distribution plays.
-BackgroundDistribution = TopicDistribution
-
-
 @dataclass(frozen=True, slots=True)
 class ExpertiseVector:
     """Top-k topics of one author with positive background-adjusted weights.
@@ -75,7 +70,7 @@ def topic_distribution(papers: Sequence[PaperRecord]) -> TopicDistribution:
     return TopicDistribution(counts=counts, paper_count=n)
 
 
-def background_distribution(corpus: Corpus) -> BackgroundDistribution:
+def background_distribution(corpus: Corpus) -> TopicDistribution:
     """Topic distribution over every paper in the corpus."""
     counts, n = _count_topics(corpus.papers)
     if n == 0:
@@ -85,7 +80,7 @@ def background_distribution(corpus: Corpus) -> BackgroundDistribution:
 
 def expertise_vector(
     author_dist: TopicDistribution,
-    background: BackgroundDistribution,
+    background: TopicDistribution,
     k: int,
     owner: str = "",
 ) -> ExpertiseVector:
@@ -113,7 +108,7 @@ def expertise_vector(
 
 def profile_author(
     corpus: Corpus,
-    background: BackgroundDistribution,
+    background: TopicDistribution,
     author: str,
     as_of_year: int,
     config: AnalysisConfig,

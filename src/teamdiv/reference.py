@@ -96,8 +96,8 @@ def run_reference_checks() -> list[CheckResult]:
     for label, zeros, ones, expected in zip(
         BUCKET_LABELS, ZERO_COUNTS, ONE_COUNTS, ONE_ZERO_RATIOS
     ):
-        distances = [0.0] * zeros + [1.0] * ones
-        ratio = one_zero_counts(distances).ratio
+        oz = one_zero_counts([0.0] * zeros + [1.0] * ones)
+        ratio = oz.ones / oz.zeros
         if round(ratio, 2) != expected:
             ratio_failures.append(f"{label}: {ratio:.4f} != {expected}")
     checks.append(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -20,8 +19,8 @@ from . import svgchart
 from .corpus import AnalysisConfig, CitationBucket, Corpus, select_analysis_set
 from .diversity import CATEGORIES, PaperDiversity, paper_diversity
 from .expertise import (
-    BackgroundDistribution,
     ExpertiseVector,
+    TopicDistribution,
     background_distribution,
     profile_author,
 )
@@ -33,6 +32,7 @@ from .stats import (
     median,
     one_zero_counts,
     pearson,
+    pool_counts,
 )
 
 DEFAULT_BIN_WIDTH = 0.05
@@ -123,7 +123,7 @@ def build_profiles(
     corpus: Corpus,
     config: AnalysisConfig,
     paper_ids: Iterable[str],
-    background: BackgroundDistribution | None = None,
+    background: TopicDistribution | None = None,
 ) -> dict[tuple[str, int], ExpertiseVector]:
     """Expertise vectors for every (author, year) pair the papers need."""
     if background is None:
@@ -140,17 +140,6 @@ def build_profiles(
     return profiles
 
 
-def _score_batch(
-    batch: Iterable[tuple[str, list[ExpertiseVector]]],
-    threshold: float,
-    inclusive: bool,
-) -> list[PaperDiversity]:
-    return [
-        paper_diversity(paper_id, team, threshold, inclusive=inclusive)
-        for paper_id, team in batch
-    ]
-
-
 def compute_paper_metrics(
     corpus: Corpus,
     config: AnalysisConfig,
@@ -160,9 +149,11 @@ def compute_paper_metrics(
 ) -> list[PaperDiversity]:
     """Diversity metrics for the given papers, ordered by paper id.
 
-    ``jobs`` > 1 spreads the per-paper work over worker processes; the
-    output is identical regardless of the level of parallelism.
+    Papers are scored one at a time in this process. ``jobs`` accepts only
+    1; it is kept because existing callers still pass ``jobs=1``.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     ordered = sorted(paper_ids)
     if profiles is None:
         profiles = build_profiles(corpus, config, ordered)
@@ -174,22 +165,11 @@ def compute_paper_metrics(
 
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
-    if jobs <= 1 or len(ordered) < 2 * jobs:
-        # each team is scored as it is built, so no list of all teams is held
-        return _score_batch(teams(), threshold, inclusive)
-    tasks = list(teams())
-    chunk = max(1, math.ceil(len(tasks) / (jobs * 4)))
-    batches = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
-    metrics: list[PaperDiversity] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for result in pool.map(
-            _score_batch,
-            batches,
-            [threshold] * len(batches),
-            [inclusive] * len(batches),
-        ):
-            metrics.extend(result)
-    return metrics
+    # each team is scored as it is built, so no list of all teams is held
+    return [
+        paper_diversity(paper_id, team, threshold, inclusive=inclusive)
+        for paper_id, team in teams()
+    ]
 
 
 def max_distance_histogram(
@@ -264,8 +244,7 @@ def adjacent_and_pooled_tests(stats: Sequence[BucketStats]) -> list[LabeledTest]
                 result=chi_square_homogeneity(a.category_counts, b.category_counts),
             )
         )
-    rest = [list(s.category_counts) for s in usable[1:]]
-    pooled_rest = [sum(col) for col in zip(*rest)]
+    pooled_rest = pool_counts([s.category_counts for s in usable[1:]])
     tests.append(
         LabeledTest(
             label=f"{usable[0].label} vs pooled {usable[1].label}-{usable[-1].label}",
@@ -273,10 +252,8 @@ def adjacent_and_pooled_tests(stats: Sequence[BucketStats]) -> list[LabeledTest]
         )
     )
     if len(usable) >= 3:
-        head = [list(s.category_counts) for s in usable[:2]]
-        tail = [list(s.category_counts) for s in usable[2:]]
-        pooled_head = [sum(col) for col in zip(*head)]
-        pooled_tail = [sum(col) for col in zip(*tail)]
+        pooled_head = pool_counts([s.category_counts for s in usable[:2]])
+        pooled_tail = pool_counts([s.category_counts for s in usable[2:]])
         tests.append(
             LabeledTest(
                 label=(
@@ -427,12 +404,12 @@ def aggregate_report(
     )
 
 
-def run_analysis(corpus: Corpus, config: AnalysisConfig, jobs: int = 1) -> AnalysisReport:
+def run_analysis(corpus: Corpus, config: AnalysisConfig) -> AnalysisReport:
     """Full pipeline: select, profile, score each paper, aggregate, test."""
     selected = select_analysis_set(corpus, config)
     if not selected:
         raise EmptyAnalysisSetError("no papers satisfy the selection constraints")
-    metrics = compute_paper_metrics(corpus, config, selected, jobs=jobs)
+    metrics = compute_paper_metrics(corpus, config, selected)
     return aggregate_report(corpus, config, metrics)
 
 
@@ -594,10 +571,13 @@ def _render_figures(report: AnalysisReport, figures_dir: Path) -> list[Path]:
         ),
         encoding="utf-8",
     )
+    # fig3's x axis is logarithmic, so a bucket whose median is 0 has no place on it
     pairs = [
         (s.citation_median, s.one_zero_ratio)
         for s in report.buckets
-        if s.citation_median is not None and s.one_zero_ratio is not None
+        if s.citation_median is not None
+        and s.citation_median > 0
+        and s.one_zero_ratio is not None
     ]
     fig3 = figures_dir / "fig3.svg"
     fig3.write_text(

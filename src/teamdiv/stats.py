@@ -1,4 +1,4 @@
-"""Statistical kernel: medians, exact-0/1 ratios, Pearson r, chi-square tests.
+"""Statistical kernel: medians, exact-0/1 counts, Pearson r, chi-square tests.
 
 Tail probabilities come from the regularized incomplete beta and gamma
 functions, evaluated with Lentz-style continued fractions, so the package
@@ -50,20 +50,9 @@ class OneZeroCount:
     zeros: int
     ones: int
 
-    @property
-    def ratio(self) -> float | None:
-        """ones/zeros, or None when no exact zeros were observed."""
-        if self.zeros == 0:
-            return None
-        return self.ones / self.zeros
 
-
-def median(values: Sequence[float], mode: str = "interpolated") -> float:
-    """Median of a nonempty sequence.
-
-    mode 'interpolated' averages the middle two values for even counts;
-    mode 'low' returns the lower of the two (useful for integer counts).
-    """
+def median(values: Sequence[float]) -> float:
+    """Median of a nonempty sequence; even counts average the middle two."""
     if not values:
         raise ValueError("median of empty sequence is undefined")
     ordered = sorted(values)
@@ -71,11 +60,7 @@ def median(values: Sequence[float], mode: str = "interpolated") -> float:
     mid = n // 2
     if n % 2 == 1:
         return ordered[mid]
-    if mode == "low":
-        return ordered[mid - 1]
-    if mode == "interpolated":
-        return (ordered[mid - 1] + ordered[mid]) / 2
-    raise ValueError(f"unknown median mode {mode!r}")
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def one_zero_counts(max_distances: Sequence[float], epsilon: float = DEFAULT_EPSILON) -> OneZeroCount:
@@ -150,17 +135,13 @@ def chi_square_homogeneity(
     return ChiSquareResult(statistic=statistic, df=df, p_value=chi_square_survival(statistic, df))
 
 
-def pool_counts(rows: Sequence[Sequence[int]], arity: int | None = None) -> list[int]:
-    """Elementwise sum of count vectors; an empty list yields a zero vector."""
+def pool_counts(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Elementwise sum of a nonempty list of equal-length count vectors."""
     if not rows:
-        if arity is None:
-            raise ValueError("arity required to pool an empty list of rows")
-        return [0] * arity
+        raise ValueError("cannot pool an empty list of rows")
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("rows differ in length")
-    if arity is not None and arity != width:
-        raise ValueError(f"arity {arity} does not match row length {width}")
     return [sum(col) for col in zip(*rows)]
 
 

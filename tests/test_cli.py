@@ -354,9 +354,69 @@ def test_jobs_flag_never_changes_output(tmp_path):
           "--output", str(synth_dir)])
     corpus = str(synth_dir / "corpus.jsonl")
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    assert main(["analyze", corpus, "--jobs", "1", "--output", str(dir_a)]) == 0
-    assert main(["analyze", corpus, "--jobs", "2", "--output", str(dir_b)]) == 0
+    assert main(["analyze", corpus, "--output", str(dir_a)]) == 0
+    assert main(["analyze", corpus, "--jobs", "1", "--output", str(dir_b)]) == 0
     assert snapshot(dir_a) == snapshot(dir_b)
+
+
+@pytest.mark.parametrize("value", ["2", "0", "-3"])
+def test_jobs_other_than_1_is_a_usage_error(valid_corpus_path, tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(valid_corpus_path), "--jobs", value,
+              "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--jobs: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_min_citations_error_says_how_to_fix_it(valid_corpus_path, tmp_path, capsys):
+    code = main(["analyze", str(valid_corpus_path), "--min-citations", "3",
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "range 0 starts at 2, expected 3" in err
+    assert "bucket_bounds given in a --config file must start at min_citations" in err
+
+
+def test_analyze_with_a_zero_median_bucket(tmp_path, capsys):
+    records = []
+    for i in range(4):
+        a, b, c = f"x{i}", f"y{i}", f"z{i}"
+        records.append(record(f"w_{a}", 2012, [a], ["ml"]))
+        records.append(record(f"w_{b}", 2012, [b], ["ml"]))
+        records.append(record(f"w_{c}", 2012, [c], [f"solo{i}"]))
+        # bucket A holds only uncited papers, each with an exact-0 team
+        records.append(record(f"zero{i}", 2013, [a, b], ["ml"], citations=0))
+        records.append(record(f"same{i}", 2013, [a, b], ["ml"], citations=1 + 3 * i))
+        records.append(record(f"cited{i}", 2013, [a, c], ["ml"], citations=1 + 3 * i))
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, records)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"min_citations": 0, "bucket_bounds": [[0, 1], [1, 3], [3, 6], [6, None]]}
+    ))
+    out_dir = tmp_path / "out"
+    assert main(["analyze", str(corpus), "--config", str(config),
+                 "--output", str(out_dir)]) == 0
+    assert "| A | 0 <= c < 1 | 0 | 4 |" in (out_dir / "report.md").read_text()
+    # fig3 plots B, C and D; its log x axis has no place for A's median of 0
+    assert (out_dir / "figures" / "fig3.svg").read_text().count("<circle") == 3
+
+
+def test_readme_library_example_runs(valid_corpus_path, tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"corpus.jsonl"' in snippet and '"out/"' in snippet
+    snippet = snippet.replace('"corpus.jsonl"', repr(str(valid_corpus_path)))
+    snippet = snippet.replace('"out/"', repr(str(tmp_path / "out")))
+    exec(snippet, {})
+    assert (tmp_path / "out" / "report.md").is_file()
+
+    import teamdiv
+
+    assert sorted(teamdiv.__all__) == ["AnalysisConfig", "load_corpus", "render", "run_analysis"]
+    for name in teamdiv.__all__:
+        assert getattr(teamdiv, name) is not None
 
 
 def test_top_k_sensitivity_same_sign(tmp_path):

@@ -9,7 +9,6 @@ from teamdiv.corpus import (
     ConfigError,
     CorpusValidationError,
     PaperRecord,
-    assign_bucket,
     build_author_index,
     load_corpus,
     parse_corpus,
@@ -339,17 +338,17 @@ def test_select_monotone_in_constraints(small_corpus):
 # --- buckets ---
 
 
-def test_assign_bucket_reference_points():
-    config = AnalysisConfig()
-    assert assign_bucket(3, config).label == "A"
-    assert assign_bucket(5, config).label == "B"  # half-open boundary
-    assert assign_bucket(150, config).label == "J"
-    assert assign_bucket(10**9, config).label == "J"
+def test_bucket_reference_points():
+    buckets = AnalysisConfig().buckets
 
+    def labels(citations):
+        return [b.label for b in buckets if b.contains(citations)]
 
-def test_assign_bucket_below_minimum():
-    with pytest.raises(ValueError, match="below the minimum"):
-        assign_bucket(1, AnalysisConfig())
+    assert labels(3) == ["A"]
+    assert labels(5) == ["B"]  # half-open boundary
+    assert labels(150) == ["J"]
+    assert labels(10**9) == ["J"]
+    assert labels(1) == []  # below min_citations
 
 
 def test_bucket_partition_is_exhaustive():

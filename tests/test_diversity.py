@@ -11,7 +11,6 @@ from teamdiv.diversity import (
     categorize,
     cosine_distance,
     paper_diversity,
-    read_metrics_csv,
     write_metrics_csv,
 )
 from teamdiv.expertise import ExpertiseVector
@@ -343,12 +342,19 @@ def test_zero_max_distance_single_component():
         assert result.n_components == 1
 
 
-def test_metrics_csv_round_trip(tmp_path):
-    team = [vec("a", ml=0.5), vec("b", nlp=0.7)]
+def test_metrics_csv_rows(tmp_path):
     metrics = [
-        paper_diversity("p1", team, threshold=0.3),
-        paper_diversity("p2", [vec("a", ml=0.5), ExpertiseVector("b", {}, 10)], 0.3),
+        paper_diversity("p1", [vec("a", t1=0.6, t2=0.8), vec("b", t1=0.8, t2=0.6)], 0.3),
+        paper_diversity("p2", [vec("a", ml=0.5), vec("b", nlp=0.7)], 0.3),
+        paper_diversity("p3", [vec("a", ml=0.5), ExpertiseVector("b", {}, 10)], 0.3),
     ]
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, metrics)
-    assert read_metrics_csv(path) == metrics
+    # floats are written with repr; an undefined max distance is an empty cell
+    assert path.read_bytes().decode("utf-8").split("\r\n") == [
+        "paper_id,n_authors,pair_count,max_distance,n_components,category,excluded_authors",
+        "p1,2,1,0.040000000000000036,1,low,0",
+        "p2,2,1,1.0,2,low,0",
+        "p3,2,0,,2,low,1",
+        "",
+    ]

@@ -4,12 +4,10 @@ import random
 import pytest
 
 from teamdiv.corpus import AnalysisConfig, parse_corpus, select_analysis_set
-from teamdiv.diversity import read_metrics_csv, write_metrics_csv
 from teamdiv.report import (
     BucketStats,
     EmptyAnalysisSetError,
     adjacent_and_pooled_tests,
-    aggregate_report,
     category_delta_vs_baseline,
     compute_paper_metrics,
     max_distance_histogram,
@@ -168,28 +166,24 @@ def test_rerun_is_deterministic(tmp_path):
         assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
 
-def test_jobs_do_not_change_metrics():
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_compute_paper_metrics_accepts_only_one_job(jobs):
     corpus = _team_corpus(n_papers=10, shared_topics=False, seed=2)
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
-    sequential = compute_paper_metrics(corpus, config, selected, jobs=1)
-    parallel = compute_paper_metrics(corpus, config, selected, jobs=2)
-    assert sequential == parallel
-
-
-def test_regeneration_from_metric_dump_matches(tmp_path):
-    corpus = _team_corpus(n_papers=20, shared_topics=False, seed=13)
-    config = AnalysisConfig()
-    selected = select_analysis_set(corpus, config)
-    metrics = compute_paper_metrics(corpus, config, selected)
-    direct = aggregate_report(corpus, config, metrics)
-    dump = tmp_path / "metrics.csv"
-    write_metrics_csv(dump, metrics)
-    regenerated = aggregate_report(corpus, config, read_metrics_csv(dump))
-    assert regenerated == direct
+    assert compute_paper_metrics(corpus, config, selected, jobs=1) == compute_paper_metrics(
+        corpus, config, selected
+    )
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        compute_paper_metrics(corpus, config, selected, jobs=jobs)
 
 
 # --- correlations, deltas, tests over assembled bucket stats ---
+
+
+def test_bucket_one_zero_ratio():
+    assert _stats("A", 2, 5, 4, 3.0, 1, 3, (4, 0, 0, 0)).one_zero_ratio == 3.0
+    assert _stats("A", 2, 5, 4, 3.0, 0, 3, (4, 0, 0, 0)).one_zero_ratio is None
 
 
 def test_ratio_correlation_requires_three_buckets():
@@ -309,6 +303,19 @@ def test_fig3_has_one_point_per_bucket(tmp_path):
     render(metrics_report, tmp_path, formats=("svg",))
     svg = (tmp_path / "figures" / "fig3.svg").read_text()
     assert svg.count("<circle") == 10
+
+
+def test_fig3_leaves_out_a_zero_median_bucket(tmp_path):
+    # fig3's x axis is logarithmic, so a median of 0 has no point on it
+    stats = [
+        _stats(label, 0, 0, 100, float(m), 10, 10 + i, (50, 30, 15, 5))
+        for i, (label, m) in enumerate(
+            zip("ABCDEFGHIJ", [0, 6, 12, 17, 24, 34, 44, 64, 118, 226])
+        )
+    ]
+    render(aggregate_fake_report(stats), tmp_path, formats=("svg",))
+    svg = (tmp_path / "figures" / "fig3.svg").read_text()
+    assert svg.count("<circle") == 9
 
 
 def aggregate_fake_report(stats):
