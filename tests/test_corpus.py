@@ -338,17 +338,19 @@ def test_select_monotone_in_constraints(small_corpus):
 # --- buckets ---
 
 
-def test_bucket_reference_points():
-    buckets = AnalysisConfig().buckets
+def _bucket_labels(citations):
+    return [b.label for b in AnalysisConfig().buckets if b.contains(citations)]
 
-    def labels(citations):
-        return [b.label for b in buckets if b.contains(citations)]
 
-    assert labels(3) == ["A"]
-    assert labels(5) == ["B"]  # half-open boundary
-    assert labels(150) == ["J"]
-    assert labels(10**9) == ["J"]
-    assert labels(1) == []  # below min_citations
+def test_assign_bucket_reference_points():
+    assert _bucket_labels(3) == ["A"]
+    assert _bucket_labels(5) == ["B"]  # half-open boundary
+    assert _bucket_labels(150) == ["J"]
+    assert _bucket_labels(10**9) == ["J"]
+
+
+def test_assign_bucket_below_minimum():
+    assert _bucket_labels(1) == []  # below min_citations
 
 
 def test_bucket_partition_is_exhaustive():

@@ -342,7 +342,7 @@ def test_zero_max_distance_single_component():
         assert result.n_components == 1
 
 
-def test_metrics_csv_rows(tmp_path):
+def test_metrics_csv_round_trip(tmp_path):
     metrics = [
         paper_diversity("p1", [vec("a", t1=0.6, t2=0.8), vec("b", t1=0.8, t2=0.6)], 0.3),
         paper_diversity("p2", [vec("a", ml=0.5), vec("b", nlp=0.7)], 0.3),

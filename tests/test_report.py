@@ -166,24 +166,25 @@ def test_rerun_is_deterministic(tmp_path):
         assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
 
-@pytest.mark.parametrize("jobs", [0, 2])
-def test_compute_paper_metrics_accepts_only_one_job(jobs):
+def test_jobs_do_not_change_metrics():
     corpus = _team_corpus(n_papers=10, shared_topics=False, seed=2)
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
     assert compute_paper_metrics(corpus, config, selected, jobs=1) == compute_paper_metrics(
         corpus, config, selected
     )
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_compute_paper_metrics_accepts_only_one_job(jobs):
+    corpus = _team_corpus(n_papers=10, shared_topics=False, seed=2)
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
     with pytest.raises(ValueError, match="jobs must be 1"):
         compute_paper_metrics(corpus, config, selected, jobs=jobs)
 
 
 # --- correlations, deltas, tests over assembled bucket stats ---
-
-
-def test_bucket_one_zero_ratio():
-    assert _stats("A", 2, 5, 4, 3.0, 1, 3, (4, 0, 0, 0)).one_zero_ratio == 3.0
-    assert _stats("A", 2, 5, 4, 3.0, 0, 3, (4, 0, 0, 0)).one_zero_ratio is None
 
 
 def test_ratio_correlation_requires_three_buckets():

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from teamdiv.corpus import AnalysisConfig
+from teamdiv.report import BucketStats
 from teamdiv.stats import (
     OneZeroCount,
     ZeroVarianceError,
@@ -49,13 +51,29 @@ def test_one_zero_reference_row():
     assert round(counts.ones / counts.zeros, 2) == 12.05
 
 
-def test_one_zero_counts_without_extremes():
+def _bucket_ratio(counts):
+    # BucketStats.one_zero_ratio is the one #1/#0 ratio; only its counts matter
+    stats = BucketStats(
+        bucket=AnalysisConfig().buckets[0],
+        n_papers=counts.zeros + counts.ones,
+        citation_median=3.0,
+        zeros=counts.zeros,
+        ones=counts.ones,
+        category_counts=(counts.zeros + counts.ones, 0, 0, 0),
+    )
+    return stats.one_zero_ratio
+
+
+def test_one_zero_ratio_undefined():
     counts = one_zero_counts([0.5, 0.5])
     assert counts.zeros == 0 and counts.ones == 0
+    assert _bucket_ratio(counts) is None
 
 
-def test_one_zero_simple_counts():
-    assert one_zero_counts([0.0, 1.0, 1.0, 1.0]) == OneZeroCount(zeros=1, ones=3)
+def test_one_zero_simple_ratio():
+    counts = one_zero_counts([0.0, 1.0, 1.0, 1.0])
+    assert counts == OneZeroCount(zeros=1, ones=3)
+    assert _bucket_ratio(counts) == 3.0
 
 
 def test_one_zero_epsilon_window():
@@ -184,9 +202,13 @@ def test_pool_counts_elementwise():
     assert pool_counts([[1, 2], [3, 4]]) == [4, 6]
 
 
-def test_pool_counts_rejects_empty_and_ragged_rows():
+def test_pool_counts_empty_needs_arity():
+    # with no rows there is no arity to pool over, so an empty list is rejected
     with pytest.raises(ValueError):
         pool_counts([])
+
+
+def test_pool_counts_rejects_ragged_rows():
     with pytest.raises(ValueError, match="differ in length"):
         pool_counts([[1, 2], [3]])
 
