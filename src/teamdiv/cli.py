@@ -155,7 +155,9 @@ def _analyze(args: argparse.Namespace) -> int:
     if not selected:
         print("error: no papers satisfy the selection constraints", file=sys.stderr)
         return EXIT_FAILURE
-    profiles = build_profiles(corpus, config, sorted(selected))
+    # The profile dump is sorted by (author, year), so it needs every profile
+    # at once; without it, each year's profiles are dropped once scored.
+    profiles = build_profiles(corpus, config, sorted(selected)) if args.dump_profiles else None
     metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
     report = aggregate_report(corpus, config, metrics)
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from .expertise import ExpertiseVector
 

@@ -13,9 +13,9 @@ of 7/10 against a background of 3/10 comes out as exactly 0.4.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnalysisConfig, Corpus, PaperRecord, prior_window
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import svgchart
 from .corpus import AnalysisConfig, CitationBucket, Corpus, select_analysis_set
@@ -125,7 +126,11 @@ def build_profiles(
     paper_ids: Iterable[str],
     background: TopicDistribution | None = None,
 ) -> dict[tuple[str, int], ExpertiseVector]:
-    """Expertise vectors for every (author, year) pair the papers need."""
+    """Expertise vectors for every (author, year) pair the papers need.
+
+    The returned dict holds every profile it builds, so its size grows with
+    the number of distinct (author, year) pairs among the given papers.
+    """
     if background is None:
         background = background_distribution(corpus)
     profiles: dict[tuple[str, int], ExpertiseVector] = {}
@@ -149,27 +154,35 @@ def compute_paper_metrics(
 ) -> list[PaperDiversity]:
     """Diversity metrics for the given papers, ordered by paper id.
 
-    Papers are scored one at a time in this process. ``jobs`` accepts only
-    1; it is kept because existing callers still pass ``jobs=1``.
+    A profile keyed (author, Y) is read only by papers of year Y, so papers
+    are profiled and scored one publication year at a time: that year's
+    profiles are built, its papers scored, and the profiles dropped before
+    the next year starts. At most one year's profiles are alive at once.
+    A caller-supplied ``profiles`` mapping is used for every year's lookups
+    instead, and nothing is built. ``jobs`` accepts only 1; it is kept
+    because existing callers still pass ``jobs=1``.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
-    ordered = sorted(paper_ids)
-    if profiles is None:
-        profiles = build_profiles(corpus, config, ordered)
-
-    def teams() -> Iterator[tuple[str, list[ExpertiseVector]]]:
-        for paper_id in ordered:
-            paper = corpus.by_id[paper_id]
-            yield paper_id, [profiles[(author, paper.year)] for author in paper.authors]
-
+    by_id = corpus.by_id
+    ids_by_year: dict[int, list[str]] = {}
+    for paper_id in sorted(paper_ids):
+        ids_by_year.setdefault(by_id[paper_id].year, []).append(paper_id)
+    background = background_distribution(corpus) if profiles is None else None
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
-    # each team is scored as it is built, so no list of all teams is held
-    return [
-        paper_diversity(paper_id, team, threshold, inclusive=inclusive)
-        for paper_id, team in teams()
-    ]
+    metrics: list[PaperDiversity] = []
+    for year, ids in ids_by_year.items():
+        if profiles is None:
+            lookup = build_profiles(corpus, config, ids, background=background)
+        else:
+            lookup = profiles
+        for paper_id in ids:
+            team = [lookup[(author, year)] for author in by_id[paper_id].authors]
+            metrics.append(paper_diversity(paper_id, team, threshold, inclusive=inclusive))
+        del lookup  # this year's profiles go before the next year's are built
+    metrics.sort(key=attrgetter("paper_id"))
+    return metrics
 
 
 def max_distance_histogram(

@@ -461,6 +461,21 @@ def test_dump_flags(valid_corpus_path, tmp_path):
     assert metrics.read_text().startswith("paper_id,")
 
 
+def test_dump_profiles_never_changes_the_metrics(tmp_path):
+    synth_dir = tmp_path / "synth"
+    main(["synth", "--seed", "11", "--papers", "200", "--authors", "150",
+          "--output", str(synth_dir)])
+    corpus = str(synth_dir / "corpus.jsonl")
+    plain, dumped = tmp_path / "plain.csv", tmp_path / "dumped.csv"
+    assert main(["analyze", corpus, "--output", str(tmp_path / "a"),
+                 "--dump-metrics", str(plain)]) == 0
+    assert main(["analyze", corpus, "--output", str(tmp_path / "b"),
+                 "--dump-metrics", str(dumped),
+                 "--dump-profiles", str(tmp_path / "profiles.jsonl")]) == 0
+    assert plain.read_bytes() == dumped.read_bytes()
+    assert snapshot(tmp_path / "a") == snapshot(tmp_path / "b")
+
+
 def test_format_selection(valid_corpus_path, tmp_path):
     out_dir = tmp_path / "out"
     assert (

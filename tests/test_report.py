@@ -1,13 +1,17 @@
 import csv
+import gc
 import random
+import weakref
 
 import pytest
 
+from teamdiv import report
 from teamdiv.corpus import AnalysisConfig, parse_corpus, select_analysis_set
 from teamdiv.report import (
     BucketStats,
     EmptyAnalysisSetError,
     adjacent_and_pooled_tests,
+    build_profiles,
     category_delta_vs_baseline,
     compute_paper_metrics,
     max_distance_histogram,
@@ -49,6 +53,28 @@ def _team_corpus(n_papers=12, shared_topics=True, team_size=3, seed=1):
         records.append(
             record(f"p{i:03d}", year, authors, ["paper-topic"], citations=rng.randint(2, 400))
         )
+    return parse_corpus(records)
+
+
+def _multi_year_corpus():
+    """Analysis papers in 2012, 2013 and 2014 whose ids interleave the years.
+
+    Author "a" writes p2 (2012) and p1 (2013), so (a, 2012) and (a, 2013) are
+    different profiles: p2 is inside a's window for 2013 only.
+    """
+    records = [
+        record("w1", 2010, ["a"], ["ml"]),
+        record("w2", 2011, ["b"], ["db"]),
+        record("w3", 2011, ["c"], ["ml", "hci"]),
+        record("w4", 2010, ["d"], ["nlp"]),
+        record("w5", 2011, ["e"], ["db", "nlp"]),
+        record("p2", 2012, ["a", "b"], ["vision"], citations=5),
+        record("p5", 2012, ["c", "d"], ["ml"], citations=40),
+        record("p1", 2013, ["a", "c"], ["hci"], citations=12),
+        record("p4", 2013, ["b", "e", "d"], ["db"], citations=3),
+        record("p3", 2014, ["a", "e"], ["nlp"], citations=160),
+        record("p6", 2014, ["b", "c"], ["ml", "db"], citations=8),
+    ]
     return parse_corpus(records)
 
 
@@ -173,6 +199,52 @@ def test_jobs_do_not_change_metrics():
     assert compute_paper_metrics(corpus, config, selected, jobs=1) == compute_paper_metrics(
         corpus, config, selected
     )
+
+
+def test_year_by_year_metrics_equal_metrics_from_all_profiles():
+    corpus = _multi_year_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    assert len({corpus.by_id[i].year for i in selected}) == 3
+    profiles = build_profiles(corpus, config, sorted(selected))
+    assert profiles[("a", 2012)].entries != profiles[("a", 2013)].entries
+    year_by_year = compute_paper_metrics(corpus, config, selected)
+    assert year_by_year == compute_paper_metrics(corpus, config, selected, profiles=profiles)
+    assert [m.paper_id for m in year_by_year] == ["p1", "p2", "p3", "p4", "p5", "p6"]
+
+
+def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
+    corpus = _multi_year_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    real_build_profiles = report.build_profiles
+    finalizers = []
+    alive_at_each_call = []
+
+    class Tracked(dict):
+        pass
+
+    def spy(*args, **kwargs):
+        alive_at_each_call.append([f.alive for f in finalizers])
+        profiles = Tracked(real_build_profiles(*args, **kwargs))
+        finalizers.append(weakref.finalize(profiles, lambda: None))
+        return profiles
+
+    monkeypatch.setattr(report, "build_profiles", spy)
+    # as in analyze: with the collector off, only reference counting frees
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        metrics = compute_paper_metrics(corpus, config, selected)
+        cycles = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(metrics) == 6
+    assert alive_at_each_call == [[], [False], [False, False]]
+    assert not any(f.alive for f in finalizers)
+    assert cycles == 0
 
 
 @pytest.mark.parametrize("jobs", [0, 2])
