@@ -15,7 +15,10 @@ Checking and building are separate steps. One generator checks every
 record and yields the decoded mapping or the error rejecting it;
 ``validate_jsonl`` keeps only the errors and builds nothing. ``load_corpus``
 and ``parse_corpus`` build a ``PaperRecord`` from each kept mapping, sharing
-one object per distinct topic, topic set and year within the load.
+one object per distinct author, topic, topic set and year within the load.
+
+The author index maps each author to their own ``PaperRecord`` objects,
+sorted by (year, id); a window of years is one ``bisect`` on that list.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import logging
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -212,13 +216,14 @@ class AnalysisConfig:
 class Corpus:
     """Immutable snapshot of parsed publication records.
 
-    ``author_index`` maps each author to (year, paper_id) pairs sorted by
-    (year, paper_id); it is exactly the inverse of the authorship relation.
+    ``author_index`` maps each author to the records naming them, the same
+    objects as in ``papers``, sorted by (year, id); it is exactly the inverse
+    of the authorship relation.
     """
 
     papers: tuple[PaperRecord, ...]
     by_id: dict[str, PaperRecord] = field(repr=False)
-    author_index: dict[str, list[tuple[int, str]]] = field(repr=False)
+    author_index: dict[str, list[PaperRecord]] = field(repr=False)
     skipped: int = 0
 
     def __len__(self) -> int:
@@ -235,13 +240,17 @@ class Corpus:
         )
 
 
-def build_author_index(papers: Iterable[PaperRecord]) -> dict[str, list[tuple[int, str]]]:
-    index: dict[str, list[tuple[int, str]]] = {}
+_year = attrgetter("year")
+_year_and_id = attrgetter("year", "id")
+
+
+def build_author_index(papers: Iterable[PaperRecord]) -> dict[str, list[PaperRecord]]:
+    index: dict[str, list[PaperRecord]] = {}
     for paper in papers:
         for author in paper.authors:
-            index.setdefault(author, []).append((paper.year, paper.id))
+            index.setdefault(author, []).append(paper)
     for entries in index.values():
-        entries.sort()
+        entries.sort(key=_year_and_id)
     return index
 
 
@@ -330,9 +339,10 @@ def _check_records(entries: Iterable, jsonl: bool) -> Iterator[Mapping | CorpusV
 def _build_corpus(checked: Iterable[Mapping | CorpusValidationError], strict: bool) -> Corpus:
     papers: list[PaperRecord] = []
     skipped = 0
-    # One object per distinct topic, topic set and year, shared by every
-    # record that repeats it: a corpus repeats a few hundred topics and years
-    # across all its records. A set seen before needs no per-topic lookup.
+    # One object per distinct author, topic, topic set and year, shared by
+    # every record that repeats it: a corpus repeats a few hundred topics and
+    # years across all its records, and most authors across several records.
+    # A set seen before needs no per-topic lookup.
     shared: dict = {}
     share = shared.setdefault
     for item in checked:
@@ -347,9 +357,10 @@ def _build_corpus(checked: Iterable[Mapping | CorpusValidationError], strict: bo
             kept = frozenset(map(share, topics, topics))
             shared[kept] = kept
         year = item["year"]
+        authors = item["authors"]
         papers.append(
             PaperRecord(
-                item["id"], share(year, year), tuple(item["authors"]), kept,
+                item["id"], share(year, year), tuple(map(share, authors, authors)), kept,
                 item.get("citations_5y"),
             )
         )
@@ -399,20 +410,30 @@ def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
 
 
 def _window_bounds(
-    entries: Sequence[tuple[int, str]], year: int, window_years: int
+    entries: Sequence[PaperRecord], year: int, window_years: int
 ) -> tuple[int, int]:
-    """Slice bounds of the (year, id) entries in [year - window_years, year - 1]."""
-    return bisect_left(entries, (year - window_years,)), bisect_left(entries, (year,))
+    """Slice bounds of the year-sorted records in [year - window_years, year - 1]."""
+    return (
+        bisect_left(entries, year - window_years, key=_year),
+        bisect_left(entries, year, key=_year),
+    )
 
 
-def prior_window(corpus: Corpus, author: str, year: int, window_years: int) -> list[str]:
-    """Paper ids the author published in [year - window_years, year - 1].
+def window_papers(
+    corpus: Corpus, author: str, year: int, window_years: int
+) -> list[PaperRecord]:
+    """Records the author published in [year - window_years, year - 1].
 
-    Unknown authors yield an empty list. Results are sorted by year.
+    Unknown authors yield an empty list. Results are sorted by (year, id).
     """
     entries = corpus.author_index.get(author, [])
     lo, hi = _window_bounds(entries, year, window_years)
-    return [paper_id for _, paper_id in entries[lo:hi]]
+    return entries[lo:hi]
+
+
+def prior_window(corpus: Corpus, author: str, year: int, window_years: int) -> list[str]:
+    """Ids of ``window_papers``, in the same order."""
+    return [paper.id for paper in window_papers(corpus, author, year, window_years)]
 
 
 def select_analysis_set(corpus: Corpus, config: AnalysisConfig) -> set[str]:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import AnalysisConfig, Corpus, PaperRecord, prior_window
+from .corpus import AnalysisConfig, Corpus, PaperRecord, window_papers
 
 
 class EmptyDistributionError(ValueError):
@@ -118,10 +118,9 @@ def profile_author(
     Authors with no window papers get an empty vector; downstream treats
     them as having no measurable expertise.
     """
-    ids = prior_window(corpus, author, as_of_year, config.window_years)
-    if not ids:
+    papers = window_papers(corpus, author, as_of_year, config.window_years)
+    if not papers:
         return ExpertiseVector(owner=author, entries={}, k=config.top_k)
-    papers = [corpus.by_id[i] for i in ids]
     return expertise_vector(topic_distribution(papers), background, config.top_k, owner=author)
 
 

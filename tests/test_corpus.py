@@ -15,6 +15,7 @@ from teamdiv.corpus import (
     prior_window,
     select_analysis_set,
     validate_jsonl,
+    window_papers,
     write_corpus_jsonl,
 )
 from tests.conftest import record
@@ -29,7 +30,7 @@ def test_parse_builds_index_over_all_authors():
     corpus = parse_corpus(records)
     assert len(corpus) == 3
     assert set(corpus.author_index) == {"a", "b", "c"}
-    assert [pid for _, pid in corpus.author_index["b"]] == ["p1", "p2"]
+    assert [p.id for p in corpus.author_index["b"]] == ["p1", "p2"]
     assert corpus.papers[0].id == "p1"  # order preserved
 
 
@@ -183,6 +184,61 @@ def test_repeated_topics_topic_sets_and_years_are_one_object(tmp_path, via):
     assert p1.topics != p3.topics and topic(p1, "ml") is topic(p3, "ml")
     assert topic(p3, "hci") is topic(p4, "hci")
     assert p1.year is p2.year and p3.year is p4.year
+
+
+@pytest.mark.parametrize("via", ["parse_corpus", "load_corpus"])
+def test_repeated_authors_are_one_object(tmp_path, via):
+    # Names longer than one character: CPython caches one-character strings.
+    records = [
+        record("p1", 2010, ["ada", "grace"], ["ml"]),
+        record("p2", 2011, ["grace", "alan"], ["db"]),
+        record("p3", 2012, ["alan", "ada"], ["ml"], citations=3),
+    ]
+    corpus = _build(records, via, tmp_path)
+    p1, p2, p3 = corpus.papers
+    assert p1.authors[0] is p3.authors[1]
+    assert p1.authors[1] is p2.authors[0]
+    assert p2.authors[1] is p3.authors[0]
+    keys = {name: name for name in corpus.author_index}
+    assert keys["ada"] is p1.authors[0]
+    assert keys["grace"] is p2.authors[0]
+    assert keys["alan"] is p3.authors[0]
+
+
+# --- the author index and windows over it ---
+
+# Out of (year, id) order on purpose; "ada" has three papers in 2012.
+_TIE_RECORDS = [
+    record("t2", 2012, ["ada"], ["ml"]),
+    record("t1", 2012, ["ada", "bob"], ["db"]),
+    record("t0", 2011, ["ada"], ["ml"]),
+    record("p", 2013, ["ada", "bob"], ["ml"], citations=5),
+    record("q", 2012, ["ada", "bob"], ["db"], citations=5),
+]
+
+
+@pytest.mark.parametrize("via", ["parse_corpus", "load_corpus"])
+def test_author_index_holds_the_corpus_records_by_year_then_id(tmp_path, via):
+    corpus = _build(_TIE_RECORDS, via, tmp_path)
+    assert [p.id for p in corpus.author_index["ada"]] == ["t0", "q", "t1", "t2", "p"]
+    assert [p.id for p in corpus.author_index["bob"]] == ["q", "t1", "p"]
+    for papers in corpus.author_index.values():
+        assert all(p is corpus.by_id[p.id] for p in papers)
+        assert papers == sorted(papers, key=lambda p: (p.year, p.id))
+
+
+def test_windows_and_selection_over_a_same_year_tie():
+    corpus = parse_corpus(_TIE_RECORDS)
+    assert prior_window(corpus, "ada", 2013, 5) == ["t0", "q", "t1", "t2"]
+    assert prior_window(corpus, "ada", 2013, 1) == ["q", "t1", "t2"]
+    assert prior_window(corpus, "ada", 2012, 5) == ["t0"]
+    assert prior_window(corpus, "bob", 2012, 5) == []
+    window = window_papers(corpus, "ada", 2013, 1)
+    assert [p.id for p in window] == ["q", "t1", "t2"]
+    assert all(p is corpus.by_id[p.id] for p in window)
+    # q (2012) has no window paper of bob's: his papers all fall in 2012 or later
+    assert select_analysis_set(corpus, AnalysisConfig()) == {"p"}
+    assert select_analysis_set(corpus, AnalysisConfig(window_years=1)) == {"p"}
 
 
 def test_validate_builds_no_records(tmp_path, monkeypatch):
