@@ -18,7 +18,8 @@ and ``parse_corpus`` build a ``PaperRecord`` from each kept mapping, sharing
 one object per distinct author, topic, topic set and year within the load.
 
 The author index maps each author to their own ``PaperRecord`` objects,
-sorted by (year, id); a window of years is one ``bisect`` on that list.
+sorted by (year, id); a window of years is a slice of that list found by
+bisection.
 """
 from __future__ import annotations
 
