@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .expertise import ExpertiseVector
 
-# float drift guard at the ends of [0, 1]
+# distances below this are float drift between proportional vectors
 _CLAMP = 1e-12
 
 
@@ -57,7 +57,7 @@ class PaperDiversity:
 
 
 def cosine_distance(u: ExpertiseVector, v: ExpertiseVector) -> float:
-    """1 - cosine similarity over the union of topics, clamped to [0, 1]."""
+    """1 - cosine similarity over the union of topics; see ``_distance``."""
     if u.is_empty or v.is_empty:
         raise UndefinedDistanceError(
             f"distance undefined for empty vector ({u.owner!r} vs {v.owner!r})"
@@ -70,7 +70,11 @@ def _norm(entries: Mapping[str, float]) -> float:
 
 
 def _distance(a: Mapping[str, float], b: Mapping[str, float], norms: float) -> float:
-    """Cosine distance of two nonempty vectors, given the product of their norms."""
+    """Cosine distance of two nonempty vectors, given the product of their norms.
+
+    The only code that decides exact 0 (proportional vectors) and exact 1
+    (no shared topic); later stages compare with ``== 0.0`` and ``== 1.0``.
+    """
     if len(b) < len(a):
         a, b = b, a
     shared = [w * b[t] for t, w in a.items() if t in b]
@@ -79,12 +83,9 @@ def _distance(a: Mapping[str, float], b: Mapping[str, float], norms: float) -> f
     # fsum keeps the dot product independent of summation order, so the
     # distance is exactly symmetric in its arguments
     distance = 1.0 - math.fsum(shared) / norms
-    # snap float drift onto the exact endpoints so 0/1 counting is stable
-    if distance < _CLAMP:
-        return 0.0
-    if distance > 1.0 - _CLAMP:
-        return 1.0
-    return distance
+    # snap the few-ulp drift of proportional vectors onto exact 0; a shared
+    # topic keeps the distance below 1 unless the similarity is under ~6e-17
+    return 0.0 if distance < _CLAMP else distance
 
 
 def categorize(n_components: int) -> DiversityCategory:

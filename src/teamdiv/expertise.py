@@ -31,9 +31,6 @@ class TopicDistribution:
     counts: Mapping[str, int]
     paper_count: int
 
-    def weight(self, topic: str) -> float:
-        return self.counts.get(topic, 0) / self.paper_count
-
 
 @dataclass(frozen=True, slots=True)
 class ExpertiseVector:
@@ -45,7 +42,6 @@ class ExpertiseVector:
 
     owner: str
     entries: Mapping[str, float]
-    k: int
 
     @property
     def is_empty(self) -> bool:
@@ -103,7 +99,7 @@ def expertise_vector(
             scored.append((-numerator, topic))
     scored.sort()
     entries = {topic: -neg / denominator for neg, topic in scored[:k]}
-    return ExpertiseVector(owner=owner, entries=entries, k=k)
+    return ExpertiseVector(owner=owner, entries=entries)
 
 
 def profile_author(
@@ -120,7 +116,7 @@ def profile_author(
     """
     papers = window_papers(corpus, author, as_of_year, config.window_years)
     if not papers:
-        return ExpertiseVector(owner=author, entries={}, k=config.top_k)
+        return ExpertiseVector(owner=author, entries={})
     return expertise_vector(topic_distribution(papers), background, config.top_k, owner=author)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .corpus import AnalysisConfig
 from .report import BucketStats, category_delta_vs_baseline, ratio_vs_median_correlation
-from .stats import chi_square_homogeneity, one_zero_counts, pool_counts
+from .stats import chi_square_homogeneity, pool_counts
 
 BUCKET_LABELS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
@@ -96,8 +96,7 @@ def run_reference_checks() -> list[CheckResult]:
     for label, zeros, ones, expected in zip(
         BUCKET_LABELS, ZERO_COUNTS, ONE_COUNTS, ONE_ZERO_RATIOS
     ):
-        oz = one_zero_counts([0.0] * zeros + [1.0] * ones)
-        ratio = oz.ones / oz.zeros
+        ratio = ones / zeros
         if round(ratio, 2) != expected:
             ratio_failures.append(f"{label}: {ratio:.4f} != {expected}")
     checks.append(

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -26,17 +27,16 @@ from .expertise import (
     profile_author,
 )
 from .stats import (
-    DEFAULT_EPSILON,
     ChiSquareResult,
     CorrelationResult,
     chi_square_homogeneity,
     median,
-    one_zero_counts,
     pearson,
     pool_counts,
 )
 
-DEFAULT_BIN_WIDTH = 0.05
+# width of fig2's interior max-distance bins
+BIN_WIDTH = 0.05
 
 
 class EmptyAnalysisSetError(ValueError):
@@ -185,28 +185,23 @@ def compute_paper_metrics(
     return metrics
 
 
-def max_distance_histogram(
-    distances: Sequence[float],
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    epsilon: float = DEFAULT_EPSILON,
-) -> Histogram:
-    """Histogram of max distances with separate exact-0/exact-1 spikes."""
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError("bin_width must lie in (0, 1]")
-    n_bins = int(math.ceil(1.0 / bin_width - 1e-9))
-    counts = [0] * n_bins
+def max_distance_histogram(distances: Iterable[float]) -> Histogram:
+    """Count max distances that are exactly 0, exactly 1, or in [i*w, (i+1)*w).
+
+    The only code that sorts max distances; the distance kernel decides the ends.
+    """
+    counts = [0] * round(1 / BIN_WIDTH)
     zero_count = 0
     one_count = 0
     for d in distances:
-        if d <= epsilon:
+        if d == 0.0:
             zero_count += 1
-        elif d >= 1.0 - epsilon:
+        elif d == 1.0:
             one_count += 1
         else:
-            idx = min(int(d / bin_width), n_bins - 1)
-            counts[idx] += 1
+            counts[int(d / BIN_WIDTH)] += 1
     return Histogram(
-        bin_width=bin_width,
+        bin_width=BIN_WIDTH,
         zero_count=zero_count,
         one_count=one_count,
         bin_counts=tuple(counts),
@@ -244,30 +239,31 @@ def category_delta_vs_baseline(
     return deltas
 
 
-def adjacent_and_pooled_tests(stats: Sequence[BucketStats]) -> list[LabeledTest]:
-    """Chi-square homogeneity over adjacent bucket pairs plus two pooled splits."""
+def adjacent_and_pooled_tests(
+    stats: Sequence[BucketStats],
+) -> tuple[list[LabeledTest], list[LabeledTest]]:
+    """Chi-square homogeneity over adjacent bucket pairs, and over two pooled splits."""
     usable = [s for s in stats if s.n_papers > 0]
     if len(usable) < 2:
         raise ValueError("need at least 2 nonempty buckets")
-    tests = []
-    for a, b in zip(usable, usable[1:]):
-        tests.append(
-            LabeledTest(
-                label=f"{a.label} vs {b.label}",
-                result=chi_square_homogeneity(a.category_counts, b.category_counts),
-            )
+    adjacent = [
+        LabeledTest(
+            label=f"{a.label} vs {b.label}",
+            result=chi_square_homogeneity(a.category_counts, b.category_counts),
         )
+        for a, b in zip(usable, usable[1:])
+    ]
     pooled_rest = pool_counts([s.category_counts for s in usable[1:]])
-    tests.append(
+    pooled = [
         LabeledTest(
             label=f"{usable[0].label} vs pooled {usable[1].label}-{usable[-1].label}",
             result=chi_square_homogeneity(usable[0].category_counts, pooled_rest),
         )
-    )
+    ]
     if len(usable) >= 3:
         pooled_head = pool_counts([s.category_counts for s in usable[:2]])
         pooled_tail = pool_counts([s.category_counts for s in usable[2:]])
-        tests.append(
+        pooled.append(
             LabeledTest(
                 label=(
                     f"pooled {usable[0].label}-{usable[1].label} vs "
@@ -276,7 +272,7 @@ def adjacent_and_pooled_tests(stats: Sequence[BucketStats]) -> list[LabeledTest]
                 result=chi_square_homogeneity(pooled_head, pooled_tail),
             )
         )
-    return tests
+    return adjacent, pooled
 
 
 def aggregate_report(
@@ -288,59 +284,39 @@ def aggregate_report(
 
     Deterministic given corpus and config; metrics may arrive in any order.
     """
-    ordered = sorted(metrics, key=lambda m: m.paper_id)
-    if not ordered:
+    if not metrics:
         raise EmptyAnalysisSetError("no papers to aggregate")
     warnings: list[str] = []
     buckets = config.buckets
-    by_label: dict[str, list[PaperDiversity]] = {b.label: [] for b in buckets}
-    citations_by_label: dict[str, list[int]] = {b.label: [] for b in buckets}
-    all_distances: list[float] = []
-    for m in ordered:
-        paper = corpus.by_id[m.paper_id]
-        if paper.citations_5y is None:
+    citations: dict[str, list[int]] = {b.label: [] for b in buckets}
+    distances: dict[str, list[float]] = {b.label: [] for b in buckets}
+    categories: dict[str, Counter] = {b.label: Counter() for b in buckets}
+    for m in metrics:
+        cited = corpus.by_id[m.paper_id].citations_5y
+        if cited is None:
             raise ValueError(f"paper {m.paper_id!r} has no citation count")
-        bucket = None
-        for b in buckets:
-            if b.contains(paper.citations_5y):
-                bucket = b
-                break
-        if bucket is None:
+        label = next((b.label for b in buckets if b.contains(cited)), None)
+        if label is None:
             raise ValueError(f"paper {m.paper_id!r} fits no citation bucket")
-        by_label[bucket.label].append(m)
-        citations_by_label[bucket.label].append(paper.citations_5y)
+        citations[label].append(cited)
+        categories[label][m.category] += 1
         if m.max_distance is not None:
-            all_distances.append(m.max_distance)
+            distances[label].append(m.max_distance)
 
     bucket_stats: list[BucketStats] = []
     for b in buckets:
-        members = by_label[b.label]
-        if not members:
+        cited = citations[b.label]
+        h = max_distance_histogram(distances[b.label])
+        if not cited:
             warnings.append(f"bucket {b.label} is empty; derived statistics undefined")
-            bucket_stats.append(
-                BucketStats(
-                    bucket=b,
-                    n_papers=0,
-                    citation_median=None,
-                    zeros=0,
-                    ones=0,
-                    category_counts=(0, 0, 0, 0),
-                )
-            )
-            continue
-        distances = [m.max_distance for m in members if m.max_distance is not None]
-        oz = one_zero_counts(distances)
-        cat_counts = [0, 0, 0, 0]
-        for m in members:
-            cat_counts[CATEGORIES.index(m.category)] += 1
         bucket_stats.append(
             BucketStats(
                 bucket=b,
-                n_papers=len(members),
-                citation_median=median(citations_by_label[b.label]),
-                zeros=oz.zeros,
-                ones=oz.ones,
-                category_counts=tuple(cat_counts),
+                n_papers=len(cited),
+                citation_median=median(cited) if cited else None,
+                zeros=h.zero_count,
+                ones=h.one_count,
+                category_counts=tuple(categories[b.label][c] for c in CATEGORIES),
             )
         )
 
@@ -354,11 +330,7 @@ def aggregate_report(
         warnings.append(f"ratio correlation unavailable: {exc}")
         ratio_corr = None
 
-    usable = [
-        s
-        for s in bucket_stats
-        if s.n_papers > 0 and s.citation_median is not None
-    ]
+    usable = [s for s in bucket_stats if s.n_papers > 0]
     medians = [s.citation_median for s in usable]
     category_correlations: dict[str, CorrelationResult | None] = {}
     for i, category in enumerate(CATEGORIES):
@@ -385,14 +357,11 @@ def aggregate_report(
     else:
         warnings.append("severity ratio correlation unavailable: fewer than 3 buckets")
 
-    n_nonempty = sum(1 for s in bucket_stats if s.n_papers > 0)
     try:
-        tests = adjacent_and_pooled_tests(bucket_stats)
+        adjacent, pooled = adjacent_and_pooled_tests(bucket_stats)
     except ValueError as exc:
         warnings.append(f"chi-square tests unavailable: {exc}")
-        tests = []
-    adjacent = tests[: max(n_nonempty - 1, 0)]
-    pooled = tests[max(n_nonempty - 1, 0) :]
+        adjacent, pooled = [], []
 
     baseline = next((s.label for s in bucket_stats if s.n_papers > 0), buckets[0].label)
     try:
@@ -403,9 +372,9 @@ def aggregate_report(
 
     return AnalysisReport(
         config=config,
-        n_selected=len(ordered),
+        n_selected=len(metrics),
         buckets=bucket_stats,
-        histogram=max_distance_histogram(all_distances),
+        histogram=max_distance_histogram(chain.from_iterable(distances.values())),
         ratio_correlation=ratio_corr,
         category_correlations=category_correlations,
         severity_correlation=severity_corr,

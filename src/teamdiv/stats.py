@@ -1,4 +1,4 @@
-"""Statistical kernel: medians, exact-0/1 counts, Pearson r, chi-square tests.
+"""Statistical kernel: medians, Pearson r, chi-square tests.
 
 Tail probabilities come from the regularized incomplete beta and gamma
 functions, evaluated with Lentz-style continued fractions, so the package
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 SIGNIFICANCE_LEVEL = 0.05
-DEFAULT_EPSILON = 1e-9
 
 _CF_MAX_ITER = 300
 _CF_EPS = 3e-15
@@ -45,12 +44,6 @@ class ChiSquareResult:
         return self.p_value < SIGNIFICANCE_LEVEL
 
 
-@dataclass(frozen=True)
-class OneZeroCount:
-    zeros: int
-    ones: int
-
-
 def median(values: Sequence[float]) -> float:
     """Median of a nonempty sequence; even counts average the middle two."""
     if not values:
@@ -61,15 +54,6 @@ def median(values: Sequence[float]) -> float:
     if n % 2 == 1:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def one_zero_counts(max_distances: Sequence[float], epsilon: float = DEFAULT_EPSILON) -> OneZeroCount:
-    """Count distances within epsilon of exactly 0 and exactly 1."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    zeros = sum(1 for d in max_distances if d <= epsilon)
-    ones = sum(1 for d in max_distances if d >= 1.0 - epsilon)
-    return OneZeroCount(zeros=zeros, ones=ones)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

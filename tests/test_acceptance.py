@@ -29,7 +29,6 @@ from teamdiv.report import category_delta_vs_baseline, run_analysis
 from teamdiv.stats import (
     chi_square_homogeneity,
     chi_square_survival,
-    one_zero_counts,
     pearson,
     pool_counts,
     student_t_two_sided_p,
@@ -58,8 +57,7 @@ def test_ratio_reproduction():
     for label, zeros, ones, expected in zip(
         BUCKET_LABELS, ZERO_COUNTS, ONE_COUNTS, ONE_ZERO_RATIOS
     ):
-        counts = one_zero_counts([0.0] * zeros + [1.0] * ones)
-        if round(counts.ones / counts.zeros, 2) != expected:
+        if round(ones / zeros, 2) != expected:
             mismatches.append(label)
     _verdict(
         "ratio reproduction",
@@ -126,12 +124,11 @@ def _closure_components(vertices, edges):
 def _random_team(rng, n, topics):
     # some members without expertise; the rest draw weights over a few topics
     return [
-        ExpertiseVector(f"v{i:02d}", {}, 10)
+        ExpertiseVector(f"v{i:02d}", {})
         if rng.random() < 0.15
         else ExpertiseVector(
             f"v{i:02d}",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, rng.randint(1, len(topics)))},
-            10,
         )
         for i in range(n)
     ]
@@ -165,9 +162,9 @@ def test_component_oracle():
         ):
             mismatches += 1
     team = (
-        [ExpertiseVector(f"g1_{i}", {"ml": 0.5}, 10) for i in range(3)]
-        + [ExpertiseVector(f"g2_{i}", {"hci": 0.5}, 10) for i in range(2)]
-        + [ExpertiseVector(f"g3_{i}", {"db": 0.5}, 10) for i in range(2)]
+        [ExpertiseVector(f"g1_{i}", {"ml": 0.5}) for i in range(3)]
+        + [ExpertiseVector(f"g2_{i}", {"hci": 0.5}) for i in range(2)]
+        + [ExpertiseVector(f"g3_{i}", {"db": 0.5}) for i in range(2)]
     )
     count = paper_diversity("fixture", team, 0.3).n_components
     fixture_ok = count == 3 and categorize(count) is DiversityCategory.MODERATE
@@ -226,17 +223,15 @@ def test_metric_invariants():
         u = ExpertiseVector(
             "a",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, k)},
-            10,
         )
         v = ExpertiseVector(
             "b",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, rng.randint(1, 6))},
-            10,
         )
         d_uv = cosine_distance(u, v)
         d_vu = cosine_distance(v, u)
         scale = rng.uniform(0.01, 100.0)
-        scaled = ExpertiseVector("a", {t: w * scale for t, w in u.entries.items()}, 10)
+        scaled = ExpertiseVector("a", {t: w * scale for t, w in u.entries.items()})
         d_scaled = cosine_distance(scaled, v)
         ok = (
             d_uv == d_vu
@@ -250,7 +245,6 @@ def test_metric_invariants():
                 ExpertiseVector(
                     f"m{i}",
                     {t: rng.uniform(0.05, 1.0) for t in rng.sample(topics, rng.randint(1, 4))},
-                    10,
                 )
                 for i in range(n)
             ]

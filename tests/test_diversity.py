@@ -17,7 +17,7 @@ from teamdiv.expertise import ExpertiseVector
 
 
 def vec(owner, **weights):
-    return ExpertiseVector(owner=owner, entries=weights, k=10)
+    return ExpertiseVector(owner=owner, entries=weights)
 
 
 def test_identical_vectors_distance_zero():
@@ -29,6 +29,15 @@ def test_disjoint_vectors_distance_one():
     assert cosine_distance(vec("a", ml=0.5), vec("b", hci=0.5)) == 1.0
 
 
+def test_light_shared_topic_is_not_exact_one():
+    # exact 1 means no shared topic; one shared at weight 1e-7 (about the
+    # smallest weight a 500k-record corpus gives) leaves a similarity of 1e-14
+    u, v = vec("a", s=1e-7, x=1.0), vec("b", s=1e-7, y=1.0)
+    assert cosine_distance(u, v) == 0.99999999999999
+    assert paper_diversity("p", [u, v], 0.3).max_distance == 0.99999999999999
+    assert cosine_distance(vec("a", x=1.0), vec("b", y=1.0)) == 1.0
+
+
 def test_hand_computed_distance():
     u = vec("a", t1=0.6, t2=0.8)
     v = vec("b", t1=0.8, t2=0.6)
@@ -38,7 +47,7 @@ def test_hand_computed_distance():
 
 def test_empty_vector_distance_undefined():
     with pytest.raises(UndefinedDistanceError):
-        cosine_distance(vec("a", ml=0.5), ExpertiseVector(owner="b", entries={}, k=10))
+        cosine_distance(vec("a", ml=0.5), ExpertiseVector(owner="b", entries={}))
 
 
 def test_distance_symmetric_and_scale_invariant():
@@ -65,9 +74,9 @@ def test_distance_symmetric_and_scale_invariant():
     st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_scale_invariance_property(entries, scale):
-    u = ExpertiseVector(owner="a", entries=entries, k=10)
+    u = ExpertiseVector(owner="a", entries=entries)
     scaled = ExpertiseVector(
-        owner="a", entries={t: w * scale for t, w in entries.items()}, k=10
+        owner="a", entries={t: w * scale for t, w in entries.items()}
     )
     probe = vec("b", t0=0.3, t1=0.7)
     assert cosine_distance(u, probe) == pytest.approx(
@@ -81,7 +90,7 @@ def _per_pair_distance(u, v):
     norm_u = math.sqrt(math.fsum(w * w for w in u.entries.values()))
     norm_v = math.sqrt(math.fsum(w * w for w in v.entries.values()))
     d = 1.0 - dot / (norm_u * norm_v)
-    return 0.0 if d < 1e-12 else 1.0 if d > 1.0 - 1e-12 else d
+    return 0.0 if d < 1e-12 else d
 
 
 @given(
@@ -97,7 +106,7 @@ def _per_pair_distance(u, v):
     )
 )
 def test_team_distances_match_per_pair_norms(weights):
-    team = [ExpertiseVector(owner=f"a{i}", entries=w, k=10) for i, w in enumerate(weights)]
+    team = [ExpertiseVector(owner=f"a{i}", entries=w) for i, w in enumerate(weights)]
     expected = [_per_pair_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)]
     assert [cosine_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)] == expected
     assert paper_diversity("p", team, 0.3).max_distance == max(expected)
@@ -131,7 +140,7 @@ def test_one_distance_per_pair(monkeypatch):
     team = [
         vec(f"a{i}", **{f"t{j}": rng.uniform(0.1, 1) for j in rng.sample(range(5), 2)})
         for i in range(10)
-    ] + [ExpertiseVector("e1", {}, 10), ExpertiseVector("e2", {}, 10)]
+    ] + [ExpertiseVector("e1", {}), ExpertiseVector("e2", {})]
     result = paper_diversity("p", team, threshold=0.3)
     assert len(calls) == result.pair_count == 45
     assert len({frozenset(pair) for pair in calls}) == 45
@@ -192,7 +201,7 @@ def test_threshold_comparison_is_strict():
 
 
 def test_empty_vector_member_is_isolated_vertex():
-    team = [vec("a", ml=0.5), vec("b", ml=0.5), ExpertiseVector("c", {}, 10)]
+    team = [vec("a", ml=0.5), vec("b", ml=0.5), ExpertiseVector("c", {})]
     result = paper_diversity("p", team, threshold=1.0, inclusive=True)
     assert result.n_components == 2
     assert result.excluded_authors == 1
@@ -221,7 +230,7 @@ def test_components_match_reachability_oracle():
         n = rng.randint(1, 12)
         threshold = (trial % 11) / 10.0
         team = [
-            ExpertiseVector(f"v{i:02d}", {}, 10)
+            ExpertiseVector(f"v{i:02d}", {})
             if rng.random() < 0.1
             else vec(f"v{i:02d}", **{t: rng.uniform(0.01, 1) for t in rng.sample(topics, 3)})
             for i in range(n)
@@ -312,7 +321,7 @@ def test_categorize_rejects_nonpositive():
 
 def test_paper_diversity_fields():
     team = [vec("a", ml=0.5), vec("b", ml=0.5), vec("c", far=1.0),
-            ExpertiseVector("d", {}, 10)]
+            ExpertiseVector("d", {})]
     result = paper_diversity("p1", team, threshold=0.3)
     assert result.n_authors == 4
     assert result.pair_count == 3  # 3 usable members
@@ -323,7 +332,7 @@ def test_paper_diversity_fields():
 
 
 def test_paper_diversity_single_usable_member():
-    team = [vec("a", ml=0.5), ExpertiseVector("b", {}, 10)]
+    team = [vec("a", ml=0.5), ExpertiseVector("b", {})]
     result = paper_diversity("p1", team, threshold=0.3)
     assert result.max_distance is None
     assert result.pair_count == 0
@@ -346,7 +355,7 @@ def test_metrics_csv_round_trip(tmp_path):
     metrics = [
         paper_diversity("p1", [vec("a", t1=0.6, t2=0.8), vec("b", t1=0.8, t2=0.6)], 0.3),
         paper_diversity("p2", [vec("a", ml=0.5), vec("b", nlp=0.7)], 0.3),
-        paper_diversity("p3", [vec("a", ml=0.5), ExpertiseVector("b", {}, 10)], 0.3),
+        paper_diversity("p3", [vec("a", ml=0.5), ExpertiseVector("b", {})], 0.3),
     ]
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, metrics)

@@ -26,21 +26,20 @@ def papers_with_topics(topic_sets):
 def test_topic_weight_is_containment_share():
     papers = papers_with_topics([["ml"]] * 7 + [["nlp"]] * 3)
     dist = topic_distribution(papers)
-    assert dist.weight("ml") == 0.7
-    assert dist.weight("nlp") == 0.3
+    assert dist.counts["ml"] / dist.paper_count == 0.7
+    assert dist.counts["nlp"] / dist.paper_count == 0.3
     assert dist.paper_count == 10
 
 
 def test_single_paper_weights_are_one():
     dist = topic_distribution(papers_with_topics([["x", "y"]]))
-    assert dist.weight("x") == 1.0
-    assert dist.weight("y") == 1.0
+    assert dist.counts["x"] / dist.paper_count == 1.0
+    assert dist.counts["y"] / dist.paper_count == 1.0
 
 
 def test_absent_topic_not_in_map():
     dist = topic_distribution(papers_with_topics([["x"]]))
     assert "y" not in dist.counts
-    assert dist.weight("y") == 0.0
 
 
 def test_empty_distribution_raises():
@@ -58,14 +57,15 @@ def test_background_matches_brute_force_count():
     for t in {f"t{i}" for i in range(13)}:
         expected = sum(1 for topics in topic_sets if t in set(topics))
         assert background.counts.get(t, 0) == expected
-        assert background.weight(t) == expected / 1000
+        assert background.counts.get(t, 0) / background.paper_count == expected / 1000
 
 
 def test_background_share_example():
     corpus = parse_corpus(
         [record(f"p{i}", 2010, ["a"], ["t"] if i < 30 else ["u"]) for i in range(100)]
     )
-    assert background_distribution(corpus).weight("t") == 0.3
+    background = background_distribution(corpus)
+    assert background.counts["t"] / background.paper_count == 0.3
 
 
 # --- expertise_vector ---
@@ -93,7 +93,8 @@ def test_top_k_matches_full_sort():
     background = TopicDistribution(counts={}, paper_count=50)
     vec = expertise_vector(author, background, k=10)
     full = sorted(
-        ((author.weight(t), t) for t in author.counts), key=lambda p: (-p[0], p[1])
+        ((author.counts[t] / author.paper_count, t) for t in author.counts),
+        key=lambda p: (-p[0], p[1]),
     )
     expected = {t for _, t in full[:10]}
     assert set(vec.entries) == expected
@@ -155,8 +156,8 @@ def test_vector_serialization_deterministic(small_corpus):
 
 def test_profile_dump_schema(tmp_path):
     profiles = {
-        ("a", 2013): ExpertiseVector(owner="a", entries={"ml": 0.4, "nlp": 0.1}, k=10),
-        ("b", 2014): ExpertiseVector(owner="b", entries={}, k=10),
+        ("a", 2013): ExpertiseVector(owner="a", entries={"ml": 0.4, "nlp": 0.1}),
+        ("b", 2014): ExpertiseVector(owner="b", entries={}),
     }
     path = tmp_path / "profiles.jsonl"
     write_profiles(path, profiles)

@@ -1,16 +1,19 @@
 import csv
 import gc
+import json
 import random
 import weakref
 
 import pytest
 
 from teamdiv import report
+from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig, parse_corpus, select_analysis_set
 from teamdiv.report import (
     BucketStats,
     EmptyAnalysisSetError,
     adjacent_and_pooled_tests,
+    aggregate_report,
     build_profiles,
     category_delta_vs_baseline,
     compute_paper_metrics,
@@ -78,6 +81,22 @@ def _multi_year_corpus():
     return parse_corpus(records)
 
 
+def _overlap_records(n_papers=80, seed=4):
+    """Teams whose members' topics overlap in part, so that max distances fall
+    strictly inside (0, 1) as well as on both ends, in every bucket."""
+    rng = random.Random(seed)
+    topics = ["t0", "t1", "t2"]
+    medians = [3, 6, 12, 17, 24, 34, 44, 64, 118, 226]
+    records = []
+    for i in range(n_papers):
+        year = rng.choice([2012, 2013, 2014])
+        authors = [f"a{i:03d}_{j}" for j in range(rng.randint(2, 3))]
+        for name in authors:
+            records.append(record(f"w_{name}", year - 1, [name], rng.sample(topics, rng.randint(1, 2))))
+        records.append(record(f"p{i:03d}", year, authors, ["x"], citations=rng.choice(medians)))
+    return records
+
+
 # --- histogram ---
 
 
@@ -90,7 +109,7 @@ def test_histogram_spikes_only():
 
 
 def test_histogram_boundary_convention():
-    h = max_distance_histogram([0.04, 0.05], bin_width=0.05)
+    h = max_distance_histogram([0.04, 0.05])
     assert h.bin_counts[0] == 1  # (0, 0.05)
     assert h.bin_counts[1] == 1  # [0.05, 0.10)
     assert h.total == 2
@@ -98,16 +117,16 @@ def test_histogram_boundary_convention():
 
 def test_histogram_matches_linear_scan_oracle():
     rng = random.Random(17)
-    values = [rng.random() for _ in range(10_000)]
-    width = 0.05
-    h = max_distance_histogram(values, bin_width=width)
+    values = [rng.random() for _ in range(10_000)] + [0.0, 1e-15, 1.0 - 1e-15, 1.0, 1.0]
+    h = max_distance_histogram(values)
+    width = h.bin_width
     edges = [i * width for i in range(len(h.bin_counts) + 1)]
     expected = [0] * len(h.bin_counts)
     spike0 = spike1 = 0
     for v in values:
-        if v <= 1e-9:
+        if v == 0.0:
             spike0 += 1
-        elif v >= 1 - 1e-9:
+        elif v == 1.0:
             spike1 += 1
         else:
             for i in range(len(expected)):
@@ -115,13 +134,8 @@ def test_histogram_matches_linear_scan_oracle():
                     expected[i] += 1
                     break
     assert list(h.bin_counts) == expected
-    assert h.zero_count == spike0 and h.one_count == spike1
+    assert (h.zero_count, h.one_count) == (spike0, spike1) == (1, 2)
     assert h.total == len(values)
-
-
-def test_histogram_rejects_bad_width():
-    with pytest.raises(ValueError):
-        max_distance_histogram([0.5], bin_width=0.0)
 
 
 # --- pipeline over degenerate corpora ---
@@ -256,6 +270,50 @@ def test_compute_paper_metrics_accepts_only_one_job(jobs):
         compute_paper_metrics(corpus, config, selected, jobs=jobs)
 
 
+def test_aggregate_is_independent_of_metric_order():
+    corpus = parse_corpus(_overlap_records())
+    config = AnalysisConfig()
+    metrics = compute_paper_metrics(corpus, config, select_analysis_set(corpus, config))
+    shuffled = list(metrics)
+    random.Random(3).shuffle(shuffled)
+    assert shuffled != metrics
+    assert aggregate_report(corpus, config, shuffled) == aggregate_report(corpus, config, metrics)
+
+
+def test_exact_counts_in_tables_match_dumped_metrics(tmp_path):
+    records = _overlap_records()
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out, dump = tmp_path / "out", tmp_path / "metrics.csv"
+    assert main(["analyze", str(corpus_path), "--output", str(out), "--dump-metrics", str(dump)]) == 0
+    buckets = AnalysisConfig().buckets
+    citations = {r["id"]: r.get("citations_5y") for r in records}
+    expected = {b.label: [0, 0] for b in buckets}
+    interior = 0
+    with open(dump, newline="") as handle:
+        for row in csv.DictReader(handle):
+            if not row["max_distance"]:
+                continue
+            d = float(row["max_distance"])
+            label = next(b.label for b in buckets if b.contains(citations[row["paper_id"]]))
+            if d == 0.0:
+                expected[label][0] += 1
+            elif d == 1.0:
+                expected[label][1] += 1
+            else:
+                interior += 1
+    with open(out / "tables" / "table2.csv", newline="") as handle:
+        table2 = {row["bucket"]: [int(row["zeros"]), int(row["ones"])] for row in csv.DictReader(handle)}
+    assert table2 == expected
+    zeros = sum(z for z, _ in expected.values())
+    ones = sum(o for _, o in expected.values())
+    assert min(zeros, ones, interior) > 0
+    assert (
+        f"Exact 0: {zeros}; exact 1: {ones}; interior values: {interior} in bins of width 0.05."
+        in (out / "report.md").read_text()
+    )
+
+
 # --- correlations, deltas, tests over assembled bucket stats ---
 
 
@@ -306,9 +364,10 @@ def test_identical_buckets_give_p_one():
         _stats(label, 2, 5, 100, float(m), 10, 10, cats)
         for label, m in zip("ABCD", [3, 6, 12, 17])
     ]
-    tests = adjacent_and_pooled_tests(stats)
-    assert len(tests) == 3 + 2  # 3 adjacent, 2 pooled
-    for t in tests:
+    adjacent, pooled = adjacent_and_pooled_tests(stats)
+    assert len(adjacent) == 3
+    assert len(pooled) == 2
+    for t in adjacent + pooled:
         assert t.result.p_value == pytest.approx(1.0, abs=1e-12)
 
 

@@ -7,12 +7,10 @@ from hypothesis import given, strategies as st
 from teamdiv.corpus import AnalysisConfig
 from teamdiv.report import BucketStats
 from teamdiv.stats import (
-    OneZeroCount,
     ZeroVarianceError,
     chi_square_homogeneity,
     chi_square_survival,
     median,
-    one_zero_counts,
     pearson,
     pool_counts,
     regularized_incomplete_beta,
@@ -40,45 +38,32 @@ def test_median_empty_rejected():
         median([])
 
 
-# --- one_zero_counts ---
+# --- #1/#0 ratio ---
 
 
-def test_one_zero_reference_row():
-    distances = [0.0] * 1195 + [1.0] * 14401 + [0.5] * 100
-    counts = one_zero_counts(distances)
-    assert counts.zeros == 1195
-    assert counts.ones == 14401
-    assert round(counts.ones / counts.zeros, 2) == 12.05
-
-
-def _bucket_ratio(counts):
+def _bucket_ratio(zeros, ones, interior=0):
     # BucketStats.one_zero_ratio is the one #1/#0 ratio; only its counts matter
     stats = BucketStats(
         bucket=AnalysisConfig().buckets[0],
-        n_papers=counts.zeros + counts.ones,
+        n_papers=zeros + ones + interior,
         citation_median=3.0,
-        zeros=counts.zeros,
-        ones=counts.ones,
-        category_counts=(counts.zeros + counts.ones, 0, 0, 0),
+        zeros=zeros,
+        ones=ones,
+        category_counts=(zeros + ones + interior, 0, 0, 0),
     )
     return stats.one_zero_ratio
 
 
+def test_one_zero_reference_row():
+    assert round(_bucket_ratio(zeros=1195, ones=14401, interior=100), 2) == 12.05
+
+
 def test_one_zero_ratio_undefined():
-    counts = one_zero_counts([0.5, 0.5])
-    assert counts.zeros == 0 and counts.ones == 0
-    assert _bucket_ratio(counts) is None
+    assert _bucket_ratio(zeros=0, ones=0, interior=2) is None
 
 
 def test_one_zero_simple_ratio():
-    counts = one_zero_counts([0.0, 1.0, 1.0, 1.0])
-    assert counts == OneZeroCount(zeros=1, ones=3)
-    assert _bucket_ratio(counts) == 3.0
-
-
-def test_one_zero_epsilon_window():
-    counts = one_zero_counts([1e-10, 1 - 1e-10, 5e-9, 1 - 5e-9], epsilon=1e-9)
-    assert counts.zeros == 1 and counts.ones == 1
+    assert _bucket_ratio(zeros=1, ones=3) == 3.0
 
 
 # --- pearson ---
