@@ -70,11 +70,7 @@ def _norm(entries: Mapping[str, float]) -> float:
 
 
 def _distance(a: Mapping[str, float], b: Mapping[str, float], norms: float) -> float:
-    """Cosine distance of two nonempty vectors, given the product of their norms.
-
-    The only code that decides exact 0 (proportional vectors) and exact 1
-    (no shared topic); later stages compare with ``== 0.0`` and ``== 1.0``.
-    """
+    """Cosine distance of two nonempty vectors, given the product of their norms."""
     if len(b) < len(a):
         a, b = b, a
     shared = [w * b[t] for t, w in a.items() if t in b]
@@ -83,8 +79,9 @@ def _distance(a: Mapping[str, float], b: Mapping[str, float], norms: float) -> f
     # fsum keeps the dot product independent of summation order, so the
     # distance is exactly symmetric in its arguments
     distance = 1.0 - math.fsum(shared) / norms
-    # snap the few-ulp drift of proportional vectors onto exact 0; a shared
-    # topic keeps the distance below 1 unless the similarity is under ~6e-17
+    # The only code that decides the endpoints: exact 1 (no shared topic) came
+    # back above, and a shared topic stays below 1 unless its similarity is
+    # under ~6e-17; the few-ulp drift of proportional vectors snaps onto 0.
     return 0.0 if distance < _CLAMP else distance
 
 

@@ -295,13 +295,15 @@ def aggregate_report(
         cited = corpus.by_id[m.paper_id].citations_5y
         if cited is None:
             raise ValueError(f"paper {m.paper_id!r} has no citation count")
-        label = next((b.label for b in buckets if b.contains(cited)), None)
-        if label is None:
+        for b in buckets:
+            if b.contains(cited):
+                break
+        else:
             raise ValueError(f"paper {m.paper_id!r} fits no citation bucket")
-        citations[label].append(cited)
-        categories[label][m.category] += 1
+        citations[b.label].append(cited)
+        categories[b.label][m.category] += 1
         if m.max_distance is not None:
-            distances[label].append(m.max_distance)
+            distances[b.label].append(m.max_distance)
 
     bucket_stats: list[BucketStats] = []
     for b in buckets:

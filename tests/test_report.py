@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -278,6 +279,19 @@ def test_aggregate_is_independent_of_metric_order():
     random.Random(3).shuffle(shuffled)
     assert shuffled != metrics
     assert aggregate_report(corpus, config, shuffled) == aggregate_report(corpus, config, metrics)
+
+
+def test_aggregate_rejects_a_paper_without_a_bucket():
+    corpus = parse_corpus(_overlap_records() + [record("uncited", 2013, ["u"], ["x"])])
+    config = AnalysisConfig()
+    metrics = compute_paper_metrics(corpus, config, select_analysis_set(corpus, config))
+    uncited = replace(metrics[0], paper_id="uncited")
+    with pytest.raises(ValueError, match="'uncited' has no citation count"):
+        aggregate_report(corpus, config, metrics + [uncited])
+    # papers selected with 2+ citations, bucketed from 50 up
+    narrow = AnalysisConfig(min_citations=50, bucket_bounds=((50, None),))
+    with pytest.raises(ValueError, match="fits no citation bucket"):
+        aggregate_report(corpus, narrow, metrics)
 
 
 def test_exact_counts_in_tables_match_dumped_metrics(tmp_path):
