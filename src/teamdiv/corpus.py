@@ -11,11 +11,11 @@ physical line number, blank lines included; a line holding bytes that are
 not UTF-8, or an id, author or topic whose JSON escapes decode to a lone
 surrogate, is reported as ``invalid UTF-8``.
 
-Checking and building are separate steps. One generator checks every
-record and yields the decoded mapping or the error rejecting it;
-``validate_jsonl`` keeps only the errors and builds nothing. ``load_corpus``
-and ``parse_corpus`` build a ``PaperRecord`` from each kept mapping, sharing
-one object per distinct author, topic, topic set and year within the load.
+Every record enters through one path: a generator decodes and checks each
+JSONL line and yields the decoded object or the error rejecting it.
+``validate_jsonl`` keeps only the errors and builds nothing; ``load_corpus``
+builds a ``PaperRecord`` from each kept object, sharing one object per
+distinct author, topic, topic set and year within the load.
 
 The author index maps each author to their own ``PaperRecord`` objects,
 sorted by (year, id); a window of years is a slice of that list found by
@@ -257,7 +257,7 @@ def build_author_index(papers: Iterable[PaperRecord]) -> dict[str, list[PaperRec
 
 def _check_record(position: int, raw: object) -> str:
     """Check one decoded record against the schema and return its id."""
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, dict):
         raise CorpusValidationError(position, "record is not an object")
     paper_id = raw.get("id")
     if not isinstance(paper_id, str) or not paper_id:
@@ -266,14 +266,14 @@ def _check_record(position: int, raw: object) -> str:
     if isinstance(year, bool) or not isinstance(year, int):
         raise CorpusValidationError(position, f"non-integer year in {paper_id!r}")
     authors = raw.get("authors")
-    if not isinstance(authors, (list, tuple)) or not authors:
+    if not isinstance(authors, list) or not authors:
         raise CorpusValidationError(position, f"empty authors in {paper_id!r}")
     if not all(isinstance(a, str) and a for a in authors):
         raise CorpusValidationError(position, f"blank author id in {paper_id!r}")
     if len(set(authors)) != len(authors):
         raise CorpusValidationError(position, f"duplicate author within {paper_id!r}")
     topics = raw.get("topics")
-    if not isinstance(topics, (list, tuple)) or not topics:
+    if not isinstance(topics, list) or not topics:
         raise CorpusValidationError(position, f"empty topics in {paper_id!r}")
     if not all(isinstance(t, str) and t for t in topics):
         raise CorpusValidationError(position, f"blank topic id in {paper_id!r}")
@@ -300,7 +300,7 @@ def _decode_line(lineno: int, line: str) -> object:
         raise CorpusValidationError(lineno, f"invalid JSON: {exc}") from None
 
 
-def _check_escapes(position: int, raw: Mapping) -> None:
+def _check_escapes(position: int, raw: dict) -> None:
     # A JSON \u escape can decode to a lone surrogate, which no UTF-8
     # output accepts; a valid surrogate pair decodes to one character.
     try:
@@ -310,23 +310,21 @@ def _check_escapes(position: int, raw: Mapping) -> None:
         raise CorpusValidationError(position, "invalid UTF-8") from None
 
 
-def _check_records(entries: Iterable, jsonl: bool) -> Iterator[Mapping | CorpusValidationError]:
-    """Yield each record in order, as its checked mapping or as the error rejecting it.
+def _check_records(lines: Iterable[str]) -> Iterator[dict | CorpusValidationError]:
+    """Yield each JSONL record in order, as its checked object or as the error rejecting it.
 
-    JSONL lines are decoded here and numbered by physical line; blank lines
-    are skipped but counted. Decoded records are numbered from 1. Only JSONL
-    lines holding a ``\\u`` escape can decode to a lone surrogate, so only
-    those are searched for one; in-memory records are always searched.
+    Records are numbered by physical line; blank lines are skipped but
+    counted. Only a line holding a ``\\u`` escape can decode to a lone
+    surrogate, so only those lines are searched for one.
     """
     seen: set[str] = set()
-    for position, raw in enumerate(entries, start=1):
+    for position, line in enumerate(lines, start=1):
+        if not (line := line.strip()):
+            continue
         try:
-            if jsonl:
-                if not (line := raw.strip()):
-                    continue
-                raw = _decode_line(position, line)
+            raw = _decode_line(position, line)
             paper_id = _check_record(position, raw)
-            if not jsonl or "\\u" in line:
+            if "\\u" in line:
                 _check_escapes(position, raw)
             if paper_id in seen:
                 raise CorpusValidationError(position, f"duplicate paper id {paper_id!r}")
@@ -337,7 +335,13 @@ def _check_records(entries: Iterable, jsonl: bool) -> Iterator[Mapping | CorpusV
         yield raw
 
 
-def _build_corpus(checked: Iterable[Mapping | CorpusValidationError], strict: bool) -> Corpus:
+def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
+    """Check every record of a JSONL file and build an indexed corpus.
+
+    In strict mode the first invalid record aborts the load; in lenient
+    mode invalid records are skipped with a logged warning and counted in
+    ``Corpus.skipped``. Record order is preserved.
+    """
     papers: list[PaperRecord] = []
     skipped = 0
     # One object per distinct author, topic, topic set and year, shared by
@@ -346,49 +350,33 @@ def _build_corpus(checked: Iterable[Mapping | CorpusValidationError], strict: bo
     # A set seen before needs no per-topic lookup.
     shared: dict = {}
     share = shared.setdefault
-    for item in checked:
-        if isinstance(item, CorpusValidationError):
-            if strict:
-                raise item
-            skipped += 1
-            log.warning("skipping invalid record: %s", item)
-            continue
-        topics = frozenset(item["topics"])
-        if (kept := shared.get(topics)) is None:
-            kept = frozenset(map(share, topics, topics))
-            shared[kept] = kept
-        year = item["year"]
-        authors = item["authors"]
-        papers.append(
-            PaperRecord(
-                item["id"], share(year, year), tuple(map(share, authors, authors)), kept,
-                item.get("citations_5y"),
-            )
-        )
-    return Corpus.from_papers(papers, skipped=skipped)
-
-
-def parse_corpus(records: Iterable[Mapping], strict: bool = True) -> Corpus:
-    """Validate a stream of decoded records and build an indexed corpus.
-
-    In strict mode the first invalid record aborts the parse; in lenient
-    mode invalid records are skipped with a logged warning and counted in
-    ``Corpus.skipped``. Record order is preserved.
-    """
-    return _build_corpus(_check_records(records, jsonl=False), strict)
-
-
-def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
-    """``parse_corpus`` over a JSONL file; any bad line is an invalid record."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return _build_corpus(_check_records(handle, jsonl=True), strict)
+        for item in _check_records(handle):
+            if isinstance(item, CorpusValidationError):
+                if strict:
+                    raise item
+                skipped += 1
+                log.warning("skipping invalid record: %s", item)
+                continue
+            topics = frozenset(item["topics"])
+            if (kept := shared.get(topics)) is None:
+                kept = frozenset(map(share, topics, topics))
+                shared[kept] = kept
+            year = item["year"]
+            authors = item["authors"]
+            papers.append(
+                PaperRecord(
+                    item["id"], share(year, year), tuple(map(share, authors, authors)), kept,
+                    item.get("citations_5y"),
+                )
+            )
+    return Corpus.from_papers(papers, skipped=skipped)
 
 
 def validate_jsonl(path: str | Path) -> list[CorpusValidationError]:
     """Report every violation in a JSONL file, keyed by line number; builds no records."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        checked = _check_records(handle, jsonl=True)
-        return [e for e in checked if isinstance(e, CorpusValidationError)]
+        return [e for e in _check_records(handle) if isinstance(e, CorpusValidationError)]
 
 
 def record_to_dict(paper: PaperRecord) -> dict:

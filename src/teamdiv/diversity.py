@@ -23,10 +23,6 @@ from .expertise import ExpertiseVector
 _CLAMP = 1e-12
 
 
-class UndefinedDistanceError(ValueError):
-    """Cosine distance to an empty expertise vector is undefined."""
-
-
 class DiversityCategory(str, Enum):
     LOW = "low"
     MODERATE = "moderate"
@@ -56,15 +52,6 @@ class PaperDiversity:
     excluded_authors: int
 
 
-def cosine_distance(u: ExpertiseVector, v: ExpertiseVector) -> float:
-    """1 - cosine similarity over the union of topics; see ``_distance``."""
-    if u.is_empty or v.is_empty:
-        raise UndefinedDistanceError(
-            f"distance undefined for empty vector ({u.owner!r} vs {v.owner!r})"
-        )
-    return _distance(u.entries, v.entries, _norm(u.entries) * _norm(v.entries))
-
-
 def _norm(entries: Mapping[str, float]) -> float:
     return math.sqrt(math.fsum(w * w for w in entries.values()))
 
@@ -79,10 +66,13 @@ def _distance(a: Mapping[str, float], b: Mapping[str, float], norms: float) -> f
     # fsum keeps the dot product independent of summation order, so the
     # distance is exactly symmetric in its arguments
     distance = 1.0 - math.fsum(shared) / norms
-    # The only code that decides the endpoints: exact 1 (no shared topic) came
-    # back above, and a shared topic stays below 1 unless its similarity is
-    # under ~6e-17; the few-ulp drift of proportional vectors snaps onto 0.
-    return 0.0 if distance < _CLAMP else distance
+    # The only code that decides the endpoints. Exact 1 (no shared topic) came
+    # back above; a shared topic whose similarity is under ~6e-17 rounds this
+    # to 1.0, so it is kept just below 1. The few-ulp drift of proportional
+    # vectors snaps onto 0.
+    if distance < _CLAMP:
+        return 0.0
+    return distance if distance < 1.0 else math.nextafter(1.0, 0.0)
 
 
 def categorize(n_components: int) -> DiversityCategory:

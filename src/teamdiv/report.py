@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -35,8 +36,9 @@ from .stats import (
     pool_counts,
 )
 
-# width of fig2's interior max-distance bins
+# width of fig2's interior max-distance bins; bin i starts at its labelled edge i * width
 BIN_WIDTH = 0.05
+_BIN_EDGES = [i * BIN_WIDTH for i in range(1, round(1 / BIN_WIDTH))]
 
 
 class EmptyAnalysisSetError(ValueError):
@@ -47,14 +49,9 @@ class EmptyAnalysisSetError(ValueError):
 class Histogram:
     """Interior bin counts over (0, 1) plus exact-0 and exact-1 spikes."""
 
-    bin_width: float
     zero_count: int
     one_count: int
     bin_counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return self.zero_count + self.one_count + sum(self.bin_counts)
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def max_distance_histogram(distances: Iterable[float]) -> Histogram:
 
     The only code that sorts max distances; the distance kernel decides the ends.
     """
-    counts = [0] * round(1 / BIN_WIDTH)
+    counts = [0] * (len(_BIN_EDGES) + 1)
     zero_count = 0
     one_count = 0
     for d in distances:
@@ -199,13 +196,8 @@ def max_distance_histogram(distances: Iterable[float]) -> Histogram:
         elif d == 1.0:
             one_count += 1
         else:
-            counts[int(d / BIN_WIDTH)] += 1
-    return Histogram(
-        bin_width=BIN_WIDTH,
-        zero_count=zero_count,
-        one_count=one_count,
-        bin_counts=tuple(counts),
-    )
+            counts[bisect_right(_BIN_EDGES, d)] += 1
+    return Histogram(zero_count=zero_count, one_count=one_count, bin_counts=tuple(counts))
 
 
 def ratio_vs_median_correlation(stats: Sequence[BucketStats]) -> CorrelationResult:
@@ -525,7 +517,7 @@ def _render_markdown(report: AnalysisReport, path: Path) -> Path:
     lines.append("")
     lines.append(
         f"Exact 0: {h.zero_count}; exact 1: {h.one_count}; "
-        f"interior values: {sum(h.bin_counts)} in bins of width {h.bin_width:g}."
+        f"interior values: {sum(h.bin_counts)} in bins of width {BIN_WIDTH:g}."
     )
     if report.warnings:
         lines.append("")
@@ -544,7 +536,7 @@ def _render_figures(report: AnalysisReport, figures_dir: Path) -> list[Path]:
     labels = ["0"]
     values = [float(h.zero_count)]
     for i, count in enumerate(h.bin_counts):
-        labels.append(f"{i * h.bin_width:.2f}")
+        labels.append(f"{i * BIN_WIDTH:.2f}")
         values.append(float(count))
     labels.append("1")
     values.append(float(h.one_count))

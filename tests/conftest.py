@@ -1,6 +1,10 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 
-from teamdiv.corpus import parse_corpus
+from teamdiv.corpus import load_corpus
 
 
 def record(pid, year, authors, topics, citations=None):
@@ -8,6 +12,14 @@ def record(pid, year, authors, topics, citations=None):
     if citations is not None:
         data["citations_5y"] = citations
     return data
+
+
+def load_records(records, strict=True):
+    """Write records as JSONL to a temporary file and load it as the CLI does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return load_corpus(path, strict=strict)
 
 
 @pytest.fixture
@@ -28,4 +40,4 @@ def small_corpus():
         # excluded: no citation count
         record("p5", 2013, ["alice", "bob"], ["ml"]),
     ]
-    return parse_corpus(records)
+    return load_records(records)

@@ -12,7 +12,6 @@ from teamdiv.corpus import AnalysisConfig
 from teamdiv.diversity import (
     DiversityCategory,
     categorize,
-    cosine_distance,
     paper_diversity,
 )
 from teamdiv.expertise import ExpertiseVector, TopicDistribution, expertise_vector
@@ -105,6 +104,11 @@ def test_expertise_formula():
     )
 
 
+def _pair_distance(u, v):
+    # the max distance of a two-member team is the distance of its one pair
+    return paper_diversity("p", [u, v], 0.3).max_distance
+
+
 def _closure_components(vertices, edges):
     idx = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
@@ -150,7 +154,7 @@ def test_component_oracle():
             for j in range(i + 1, n):
                 if team[i].is_empty or team[j].is_empty:
                     continue
-                d = cosine_distance(team[i], team[j])
+                d = _pair_distance(team[i], team[j])
                 distances.append(d)
                 if d < threshold:
                     edges.add((vertices[i], vertices[j]))
@@ -228,11 +232,11 @@ def test_metric_invariants():
             "b",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, rng.randint(1, 6))},
         )
-        d_uv = cosine_distance(u, v)
-        d_vu = cosine_distance(v, u)
+        d_uv = _pair_distance(u, v)
+        d_vu = _pair_distance(v, u)
         scale = rng.uniform(0.01, 100.0)
         scaled = ExpertiseVector("a", {t: w * scale for t, w in u.entries.items()})
-        d_scaled = cosine_distance(scaled, v)
+        d_scaled = _pair_distance(scaled, v)
         ok = (
             d_uv == d_vu
             and 0.0 <= d_uv <= 1.0

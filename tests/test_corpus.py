@@ -11,14 +11,13 @@ from teamdiv.corpus import (
     PaperRecord,
     build_author_index,
     load_corpus,
-    parse_corpus,
     prior_window,
     select_analysis_set,
     validate_jsonl,
     window_papers,
     write_corpus_jsonl,
 )
-from tests.conftest import record
+from tests.conftest import load_records, record
 
 
 def test_parse_builds_index_over_all_authors():
@@ -27,7 +26,7 @@ def test_parse_builds_index_over_all_authors():
         record("p2", 2011, ["b", "c"], ["t2"], citations=4),
         record("p3", 2012, ["c"], ["t3"]),
     ]
-    corpus = parse_corpus(records)
+    corpus = load_records(records)
     assert len(corpus) == 3
     assert set(corpus.author_index) == {"a", "b", "c"}
     assert [p.id for p in corpus.author_index["b"]] == ["p1", "p2"]
@@ -37,13 +36,13 @@ def test_parse_builds_index_over_all_authors():
 def test_parse_rejects_empty_authors_with_position():
     records = [record("p1", 2010, ["a"], ["t"]), record("p2", 2011, [], ["t"])]
     with pytest.raises(CorpusValidationError, match="record 2.*empty authors"):
-        parse_corpus(records)
+        load_records(records)
 
 
 def test_parse_rejects_duplicate_id_by_name():
     records = [record("p1", 2010, ["a"], ["t"]), record("p1", 2011, ["b"], ["t"])]
     with pytest.raises(CorpusValidationError, match="duplicate paper id 'p1'"):
-        parse_corpus(records)
+        load_records(records)
 
 
 @pytest.mark.parametrize(
@@ -58,7 +57,7 @@ def test_parse_rejects_duplicate_id_by_name():
 )
 def test_parse_rejects_malformed_records(bad):
     with pytest.raises(CorpusValidationError):
-        parse_corpus([bad])
+        load_records([bad])
 
 
 def test_lenient_mode_skips_and_counts():
@@ -67,7 +66,7 @@ def test_lenient_mode_skips_and_counts():
         record("p2", "bad-year", ["a"], ["t"]),
         record("p1", 2011, ["b"], ["t"]),
     ]
-    corpus = parse_corpus(records, strict=False)
+    corpus = load_records(records, strict=False)
     assert len(corpus) == 1
     assert corpus.skipped == 2
 
@@ -75,7 +74,7 @@ def test_lenient_mode_skips_and_counts():
 def test_unknown_keys_ignored():
     raw = record("p1", 2010, ["a"], ["t"])
     raw["venue"] = "Somewhere"
-    corpus = parse_corpus([raw])
+    corpus = load_records([raw])
     assert corpus.papers[0].id == "p1"
 
 
@@ -147,35 +146,26 @@ def test_parse_rejects_lone_surrogate(field):
     bad = record("p1", 2010, ["a"], ["t"])
     bad[field] = "p\ud800" if field == "id" else ["x\udfff"]
     with pytest.raises(CorpusValidationError, match=r"^record 1: invalid UTF-8$"):
-        parse_corpus([bad])
-    corpus = parse_corpus([bad, record("p2", 2011, ["b"], ["t\U0001f600"])], strict=False)
+        load_records([bad])
+    corpus = load_records([bad, record("p2", 2011, ["b"], ["t\U0001f600"])], strict=False)
     assert [p.id for p in corpus.papers] == ["p2"]
     assert corpus.skipped == 1
 
 
 # --- building: one object per distinct topic, topic set and year ---
+# Each line goes through its own json.loads, so no two input records share a
+# string or an int object before the corpus is built.
 
 
-def _build(records, via, tmp_path=None):
-    # Each record goes through its own json.loads, so no two input records
-    # share a string or an int object before the corpus is built.
-    lines = [json.dumps(r) for r in records]
-    if via == "parse_corpus":
-        return parse_corpus([json.loads(line) for line in lines])
-    path = tmp_path / "corpus.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    return load_corpus(path)
-
-
-@pytest.mark.parametrize("via", ["parse_corpus", "load_corpus"])
-def test_repeated_topics_topic_sets_and_years_are_one_object(tmp_path, via):
+@pytest.mark.parametrize("via", ["load_corpus"])
+def test_repeated_topics_topic_sets_and_years_are_one_object(via):
     records = [
         record("p1", 2010, ["a"], ["ml", "db"]),
         record("p2", 2010, ["b"], ["db", "ml"], citations=3),
         record("p3", 2011, ["c"], ["ml", "hci"]),
         record("p4", 2011, ["d"], ["hci"]),
     ]
-    p1, p2, p3, p4 = _build(records, via, tmp_path).papers
+    p1, p2, p3, p4 = load_records(records).papers
 
     def topic(paper, name):
         return next(t for t in paper.topics if t == name)
@@ -186,15 +176,15 @@ def test_repeated_topics_topic_sets_and_years_are_one_object(tmp_path, via):
     assert p1.year is p2.year and p3.year is p4.year
 
 
-@pytest.mark.parametrize("via", ["parse_corpus", "load_corpus"])
-def test_repeated_authors_are_one_object(tmp_path, via):
+@pytest.mark.parametrize("via", ["load_corpus"])
+def test_repeated_authors_are_one_object(via):
     # Names longer than one character: CPython caches one-character strings.
     records = [
         record("p1", 2010, ["ada", "grace"], ["ml"]),
         record("p2", 2011, ["grace", "alan"], ["db"]),
         record("p3", 2012, ["alan", "ada"], ["ml"], citations=3),
     ]
-    corpus = _build(records, via, tmp_path)
+    corpus = load_records(records)
     p1, p2, p3 = corpus.papers
     assert p1.authors[0] is p3.authors[1]
     assert p1.authors[1] is p2.authors[0]
@@ -217,9 +207,9 @@ _TIE_RECORDS = [
 ]
 
 
-@pytest.mark.parametrize("via", ["parse_corpus", "load_corpus"])
-def test_author_index_holds_the_corpus_records_by_year_then_id(tmp_path, via):
-    corpus = _build(_TIE_RECORDS, via, tmp_path)
+@pytest.mark.parametrize("via", ["load_corpus"])
+def test_author_index_holds_the_corpus_records_by_year_then_id(via):
+    corpus = load_records(_TIE_RECORDS)
     assert [p.id for p in corpus.author_index["ada"]] == ["t0", "q", "t1", "t2", "p"]
     assert [p.id for p in corpus.author_index["bob"]] == ["q", "t1", "p"]
     for papers in corpus.author_index.values():
@@ -228,7 +218,7 @@ def test_author_index_holds_the_corpus_records_by_year_then_id(tmp_path, via):
 
 
 def test_windows_and_selection_over_a_same_year_tie():
-    corpus = parse_corpus(_TIE_RECORDS)
+    corpus = load_records(_TIE_RECORDS)
     assert prior_window(corpus, "ada", 2013, 5) == ["t0", "q", "t1", "t2"]
     assert prior_window(corpus, "ada", 2013, 1) == ["q", "t1", "t2"]
     assert prior_window(corpus, "ada", 2012, 5) == ["t0"]
@@ -280,7 +270,7 @@ _records = st.lists(
 @given(_records)
 def test_parse_builds_what_the_records_say(records):
     records = [{"id": f"p{i}", **r} for i, r in enumerate(records)]
-    papers = _build(records, "parse_corpus").papers
+    papers = load_records(records).papers
     assert list(papers) == [
         PaperRecord(r["id"], r["year"], tuple(r["authors"]), frozenset(r["topics"]),
                     r["citations_5y"])
@@ -302,7 +292,7 @@ def test_prior_window_excludes_query_year():
         record("q2", 2010, ["a"], ["t"]),
         record("q3", 2013, ["a"], ["t"]),
     ]
-    corpus = parse_corpus(records)
+    corpus = load_records(records)
     assert prior_window(corpus, "a", 2013, 5) == ["q1", "q2"]
 
 
@@ -313,7 +303,7 @@ def test_prior_window_unknown_author_is_empty(small_corpus):
 def test_prior_window_endpoints():
     # window 5 at query year 2015 covers 2010..2014 inclusive
     records = [record(f"y{y}", y, ["a"], ["t"]) for y in range(2008, 2016)]
-    corpus = parse_corpus(records)
+    corpus = load_records(records)
     ids = prior_window(corpus, "a", 2015, 5)
     assert ids == [f"y{y}" for y in range(2010, 2015)]
 
@@ -323,7 +313,7 @@ def test_prior_window_sorted_by_year():
         record("late", 2014, ["a"], ["t"]),
         record("early", 2011, ["a"], ["t"]),
     ]
-    corpus = parse_corpus(records)
+    corpus = load_records(records)
     assert prior_window(corpus, "a", 2015, 5) == ["early", "late"]
 
 
@@ -348,7 +338,7 @@ def test_select_excludes_author_without_priors():
         record("w1", 2012, ["a"], ["t"]),
         record("p1", 2013, ["a", "newcomer"], ["t"], citations=5),
     ]
-    corpus = parse_corpus(records)
+    corpus = load_records(records)
     assert select_analysis_set(corpus, AnalysisConfig()) == set()
 
 
@@ -364,7 +354,7 @@ def test_select_window_boundaries(window, prior_year, included):
         record("wb", prior_year, ["b"], ["t"]),
         record("p1", 2013, ["a", "b"], ["t"], citations=5),
     ]
-    corpus = parse_corpus(records)
+    corpus = load_records(records)
     selected = select_analysis_set(corpus, AnalysisConfig(window_years=window))
     assert selected == ({"p1"} if included else set())
 

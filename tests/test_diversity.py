@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 import teamdiv.diversity as diversity
 from teamdiv.diversity import (
     DiversityCategory,
-    UndefinedDistanceError,
     categorize,
-    cosine_distance,
     paper_diversity,
     write_metrics_csv,
 )
@@ -20,34 +18,41 @@ def vec(owner, **weights):
     return ExpertiseVector(owner=owner, entries=weights)
 
 
+def pair_distance(u, v):
+    # the max distance of a two-member team is the distance of its one pair
+    return paper_diversity("p", [u, v], 0.3).max_distance
+
+
 def test_identical_vectors_distance_zero():
     u = vec("a", ml=0.4, nlp=0.2)
-    assert cosine_distance(u, vec("b", ml=0.4, nlp=0.2)) == 0.0
+    assert pair_distance(u, vec("b", ml=0.4, nlp=0.2)) == 0.0
 
 
 def test_disjoint_vectors_distance_one():
-    assert cosine_distance(vec("a", ml=0.5), vec("b", hci=0.5)) == 1.0
+    assert pair_distance(vec("a", ml=0.5), vec("b", hci=0.5)) == 1.0
 
 
 def test_light_shared_topic_is_not_exact_one():
     # exact 1 means no shared topic; one shared at weight 1e-7 (about the
     # smallest weight a 500k-record corpus gives) leaves a similarity of 1e-14
     u, v = vec("a", s=1e-7, x=1.0), vec("b", s=1e-7, y=1.0)
-    assert cosine_distance(u, v) == 0.99999999999999
-    assert paper_diversity("p", [u, v], 0.3).max_distance == 0.99999999999999
-    assert cosine_distance(vec("a", x=1.0), vec("b", y=1.0)) == 1.0
+    assert pair_distance(u, v) == pair_distance(v, u) == 0.99999999999999
+    assert pair_distance(vec("a", x=1.0), vec("b", y=1.0)) == 1.0
+
+
+def test_shared_topic_under_float_resolution_is_not_exact_one():
+    # a similarity of 1e-18 leaves 1 - 1e-18, which rounds to 1.0
+    u, v = vec("a", s=1e-9, x=1.0), vec("b", s=1e-9, y=1.0)
+    assert pair_distance(u, v) == pair_distance(v, u) == math.nextafter(1.0, 0.0)
+    team = [u, v, vec("c", s=1.0)]
+    assert paper_diversity("p", team, 0.3).max_distance == math.nextafter(1.0, 0.0)
 
 
 def test_hand_computed_distance():
     u = vec("a", t1=0.6, t2=0.8)
     v = vec("b", t1=0.8, t2=0.6)
     # dot 0.96, both norms 1
-    assert cosine_distance(u, v) == pytest.approx(0.04, abs=1e-12)
-
-
-def test_empty_vector_distance_undefined():
-    with pytest.raises(UndefinedDistanceError):
-        cosine_distance(vec("a", ml=0.5), ExpertiseVector(owner="b", entries={}))
+    assert pair_distance(u, v) == pytest.approx(0.04, abs=1e-12)
 
 
 def test_distance_symmetric_and_scale_invariant():
@@ -56,12 +61,12 @@ def test_distance_symmetric_and_scale_invariant():
         topics = [f"t{i}" for i in range(rng.randint(1, 8))]
         u = vec("a", **{t: rng.uniform(0.01, 1) for t in rng.sample(topics, rng.randint(1, len(topics)))})
         v = vec("b", **{t: rng.uniform(0.01, 1) for t in rng.sample(topics, rng.randint(1, len(topics)))})
-        d = cosine_distance(u, v)
+        d = pair_distance(u, v)
         assert 0.0 <= d <= 1.0
-        assert cosine_distance(v, u) == d
+        assert pair_distance(v, u) == d
         scale = rng.uniform(0.1, 50)
         scaled = vec("a", **{t: w * scale for t, w in u.entries.items()})
-        assert cosine_distance(scaled, v) == pytest.approx(d, abs=1e-12)
+        assert pair_distance(scaled, v) == pytest.approx(d, abs=1e-12)
 
 
 @given(
@@ -79,8 +84,8 @@ def test_scale_invariance_property(entries, scale):
         owner="a", entries={t: w * scale for t, w in entries.items()}
     )
     probe = vec("b", t0=0.3, t1=0.7)
-    assert cosine_distance(u, probe) == pytest.approx(
-        cosine_distance(scaled, probe), abs=1e-12
+    assert pair_distance(u, probe) == pytest.approx(
+        pair_distance(scaled, probe), abs=1e-12
     )
 
 
@@ -90,7 +95,11 @@ def _per_pair_distance(u, v):
     norm_u = math.sqrt(math.fsum(w * w for w in u.entries.values()))
     norm_v = math.sqrt(math.fsum(w * w for w in v.entries.values()))
     d = 1.0 - dot / (norm_u * norm_v)
-    return 0.0 if d < 1e-12 else d
+    if d < 1e-12:
+        return 0.0
+    # exact 1 only when no topic is shared
+    shares_a_topic = any(t in v.entries for t in u.entries)
+    return math.nextafter(1.0, 0.0) if shares_a_topic and d == 1.0 else d
 
 
 @given(
@@ -108,7 +117,7 @@ def _per_pair_distance(u, v):
 def test_team_distances_match_per_pair_norms(weights):
     team = [ExpertiseVector(owner=f"a{i}", entries=w) for i, w in enumerate(weights)]
     expected = [_per_pair_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)]
-    assert [cosine_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)] == expected
+    assert [pair_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)] == expected
     assert paper_diversity("p", team, 0.3).max_distance == max(expected)
 
 
@@ -159,7 +168,7 @@ def test_pairwise_matches_nested_loop_oracle():
     expected = []
     for i in range(len(team)):
         for j in range(i + 1, len(team)):
-            expected.append(cosine_distance(team[i], team[j]))
+            expected.append(pair_distance(team[i], team[j]))
     assert result.max_distance == max(expected)
 
 
@@ -175,7 +184,7 @@ def test_max_distance_enumerates_pairs():
     u = vec("a", t1=0.6, t2=0.8)
     v = vec("b", t1=0.8, t2=0.6)
     w = vec("c", t1=1.0)
-    dists = [cosine_distance(u, v), cosine_distance(u, w), cosine_distance(v, w)]
+    dists = [pair_distance(u, v), pair_distance(u, w), pair_distance(v, w)]
     assert paper_diversity("p", [u, v, w], 0.3).max_distance == max(dists)
 
 
@@ -195,7 +204,7 @@ def test_disjoint_team_edgeless():
 def test_threshold_comparison_is_strict():
     u = vec("a", t1=0.6, t2=0.8)
     v = vec("b", t1=0.8, t2=0.6)
-    d = cosine_distance(u, v)
+    d = pair_distance(u, v)
     assert paper_diversity("p", [u, v], threshold=d).n_components == 2
     assert paper_diversity("p", [u, v], threshold=d, inclusive=True).n_components == 1
 
@@ -241,7 +250,7 @@ def test_components_match_reachability_oracle():
             for j in range(i + 1, n)
             if not team[i].is_empty
             and not team[j].is_empty
-            and cosine_distance(team[i], team[j]) < threshold
+            and pair_distance(team[i], team[j]) < threshold
         ]
         result = paper_diversity("p", team, threshold)
         assert result.n_components == _brute_force_components(n, edges)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from teamdiv.corpus import AnalysisConfig, parse_corpus
+from teamdiv.corpus import AnalysisConfig
 from teamdiv.expertise import (
     EmptyDistributionError,
     ExpertiseVector,
@@ -13,14 +13,14 @@ from teamdiv.expertise import (
     topic_distribution,
     write_profiles,
 )
-from tests.conftest import record
+from tests.conftest import load_records, record
 
 
 def papers_with_topics(topic_sets):
     records = [
         record(f"p{i}", 2010, ["a"], topics) for i, topics in enumerate(topic_sets)
     ]
-    return parse_corpus(records).papers
+    return load_records(records).papers
 
 
 def test_topic_weight_is_containment_share():
@@ -50,7 +50,7 @@ def test_empty_distribution_raises():
 def test_background_matches_brute_force_count():
     # 1000 papers with rotating topic subsets; compare against a plain scan
     topic_sets = [[f"t{i % 13}", f"t{(i * 7) % 13}"] for i in range(1000)]
-    corpus = parse_corpus(
+    corpus = load_records(
         [record(f"p{i}", 2010, ["a"], topics) for i, topics in enumerate(topic_sets)]
     )
     background = background_distribution(corpus)
@@ -61,7 +61,7 @@ def test_background_matches_brute_force_count():
 
 
 def test_background_share_example():
-    corpus = parse_corpus(
+    corpus = load_records(
         [record(f"p{i}", 2010, ["a"], ["t"] if i < 30 else ["u"]) for i in range(100)]
     )
     background = background_distribution(corpus)

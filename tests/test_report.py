@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import random
 import weakref
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 
 from teamdiv import report
 from teamdiv.cli import main
-from teamdiv.corpus import AnalysisConfig, parse_corpus, select_analysis_set
+from teamdiv.corpus import AnalysisConfig, select_analysis_set
 from teamdiv.report import (
     BucketStats,
     EmptyAnalysisSetError,
@@ -23,7 +24,7 @@ from teamdiv.report import (
     render,
     run_analysis,
 )
-from tests.conftest import record
+from tests.conftest import load_records, record
 
 
 def _stats(label, lo, hi, n, median_, zeros, ones, cats):
@@ -57,7 +58,7 @@ def _team_corpus(n_papers=12, shared_topics=True, team_size=3, seed=1):
         records.append(
             record(f"p{i:03d}", year, authors, ["paper-topic"], citations=rng.randint(2, 400))
         )
-    return parse_corpus(records)
+    return load_records(records)
 
 
 def _multi_year_corpus():
@@ -79,7 +80,7 @@ def _multi_year_corpus():
         record("p3", 2014, ["a", "e"], ["nlp"], citations=160),
         record("p6", 2014, ["b", "c"], ["ml", "db"], citations=8),
     ]
-    return parse_corpus(records)
+    return load_records(records)
 
 
 def _overlap_records(n_papers=80, seed=4):
@@ -106,22 +107,20 @@ def test_histogram_spikes_only():
     assert h.zero_count == 1
     assert h.one_count == 2
     assert sum(h.bin_counts) == 0
-    assert h.total == 3
 
 
 def test_histogram_boundary_convention():
     h = max_distance_histogram([0.04, 0.05])
     assert h.bin_counts[0] == 1  # (0, 0.05)
     assert h.bin_counts[1] == 1  # [0.05, 0.10)
-    assert h.total == 2
+    assert (h.zero_count, h.one_count, sum(h.bin_counts)) == (0, 0, 2)
 
 
 def test_histogram_matches_linear_scan_oracle():
     rng = random.Random(17)
     values = [rng.random() for _ in range(10_000)] + [0.0, 1e-15, 1.0 - 1e-15, 1.0, 1.0]
     h = max_distance_histogram(values)
-    width = h.bin_width
-    edges = [i * width for i in range(len(h.bin_counts) + 1)]
+    edges = [i * report.BIN_WIDTH for i in range(len(h.bin_counts) + 1)]
     expected = [0] * len(h.bin_counts)
     spike0 = spike1 = 0
     for v in values:
@@ -136,7 +135,19 @@ def test_histogram_matches_linear_scan_oracle():
                     break
     assert list(h.bin_counts) == expected
     assert (h.zero_count, h.one_count) == (spike0, spike1) == (1, 2)
-    assert h.total == len(values)
+    assert h.zero_count + h.one_count + sum(h.bin_counts) == len(values)
+
+
+def test_histogram_bins_every_edge_and_its_neighbours_by_the_labelled_edges():
+    # fig2 labels bin i by the float i * BIN_WIDTH; 0.85 lies below 17 * 0.05
+    n_bins = round(1 / report.BIN_WIDTH)
+    edges = [i * report.BIN_WIDTH for i in range(n_bins + 1)]
+    for i in range(1, n_bins):
+        for v in (math.nextafter(edges[i], 0.0), edges[i], math.nextafter(edges[i], 1.0)):
+            expected = next(j for j in range(n_bins) if edges[j] <= v < edges[j + 1])
+            counts = max_distance_histogram([v]).bin_counts
+            assert counts.index(1) == expected, v
+    assert max_distance_histogram([0.85]).bin_counts[16] == 1
 
 
 # --- pipeline over degenerate corpora ---
@@ -172,7 +183,7 @@ def test_bucket_paper_counts_partition_selection():
 
 
 def test_empty_analysis_set_raises():
-    corpus = parse_corpus([record("p1", 2013, ["only"], ["t"], citations=9)])
+    corpus = load_records([record("p1", 2013, ["only"], ["t"], citations=9)])
     with pytest.raises(EmptyAnalysisSetError):
         run_analysis(corpus, AnalysisConfig())
 
@@ -272,7 +283,7 @@ def test_compute_paper_metrics_accepts_only_one_job(jobs):
 
 
 def test_aggregate_is_independent_of_metric_order():
-    corpus = parse_corpus(_overlap_records())
+    corpus = load_records(_overlap_records())
     config = AnalysisConfig()
     metrics = compute_paper_metrics(corpus, config, select_analysis_set(corpus, config))
     shuffled = list(metrics)
@@ -282,7 +293,7 @@ def test_aggregate_is_independent_of_metric_order():
 
 
 def test_aggregate_rejects_a_paper_without_a_bucket():
-    corpus = parse_corpus(_overlap_records() + [record("uncited", 2013, ["u"], ["x"])])
+    corpus = load_records(_overlap_records() + [record("uncited", 2013, ["u"], ["x"])])
     config = AnalysisConfig()
     metrics = compute_paper_metrics(corpus, config, select_analysis_set(corpus, config))
     uncited = replace(metrics[0], paper_id="uncited")
@@ -471,7 +482,7 @@ def aggregate_fake_report(stats):
         config=AnalysisConfig(),
         n_selected=sum(s.n_papers for s in stats),
         buckets=stats,
-        histogram=Histogram(0.05, 1, 1, tuple([0] * 20)),
+        histogram=Histogram(1, 1, tuple([0] * 20)),
         ratio_correlation=None,
         category_correlations={},
         severity_correlation=None,
