@@ -32,7 +32,6 @@ from .report import (
     compute_paper_metrics,
     render,
 )
-from .synth import SynthParams, generate_corpus, write_params
 
 OUTPUT_ENV_VAR = "TEAMDIV_OUTPUT"
 
@@ -192,6 +191,9 @@ def _analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here so that numpy, which only generation uses, loads for synth alone.
+    from .synth import SynthParams, generate_corpus, write_params
+
     settings = _read_json(args.params) if args.params else {}
     if not isinstance(settings, dict):
         raise ConfigError(f"params must be a JSON object, got {type(settings).__name__}")

@@ -28,6 +28,7 @@ import logging
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -45,6 +46,10 @@ DEFAULT_BUCKET_BOUNDS: tuple[tuple[int, int | None], ...] = (
     (100, 150),
     (150, None),
 )
+
+# Bucket medians and correlations turn citation counts into floats, which
+# hold every integer exactly only up to 2**53.
+_MAX_CITATIONS = 2**53
 
 
 class CorpusValidationError(ValueError):
@@ -220,22 +225,28 @@ class Corpus:
     ``author_index`` maps each author to the records naming them, the same
     objects as in ``papers``, sorted by (year, id); it is exactly the inverse
     of the authorship relation.
+
+    ``by_id`` maps each id to its record, the same object as in ``papers``.
+    It is built on first read, and the analysis pipeline never reads it: a
+    map over every record would cost memory in every run for the few ids a
+    caller looks up.
     """
 
     papers: tuple[PaperRecord, ...]
-    by_id: dict[str, PaperRecord] = field(repr=False)
     author_index: dict[str, list[PaperRecord]] = field(repr=False)
     skipped: int = 0
 
     def __len__(self) -> int:
         return len(self.papers)
 
+    @cached_property
+    def by_id(self) -> dict[str, PaperRecord]:
+        return {p.id: p for p in self.papers}
+
     @classmethod
     def from_papers(cls, papers: Sequence[PaperRecord], skipped: int = 0) -> "Corpus":
-        by_id = {p.id: p for p in papers}
         return cls(
             papers=tuple(papers),
-            by_id=by_id,
             author_index=build_author_index(papers),
             skipped=skipped,
         )
@@ -282,6 +293,10 @@ def _check_record(position: int, raw: object) -> str:
         if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:
             raise CorpusValidationError(
                 position, f"citations_5y must be a nonnegative integer in {paper_id!r}"
+            )
+        if citations > _MAX_CITATIONS:
+            raise CorpusValidationError(
+                position, f"citations_5y must be at most 2**53 in {paper_id!r}"
             )
     return paper_id
 

@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import svgchart
-from .corpus import AnalysisConfig, CitationBucket, Corpus, select_analysis_set
+from .corpus import AnalysisConfig, CitationBucket, Corpus, PaperRecord, select_analysis_set
 from .diversity import CATEGORIES, PaperDiversity, paper_diversity
 from .expertise import (
     ExpertiseVector,
@@ -117,6 +117,29 @@ class AnalysisReport:
     warnings: list[str] = field(default_factory=list)
 
 
+def _records_of(corpus: Corpus, paper_ids: Iterable[str]) -> dict[str, PaperRecord]:
+    """The corpus records with the given ids, keyed by id, from one pass over the corpus."""
+    wanted = set(paper_ids)
+    return {paper.id: paper for paper in corpus.papers if paper.id in wanted}
+
+
+def _build_profiles(
+    corpus: Corpus,
+    config: AnalysisConfig,
+    background: TopicDistribution,
+    papers: Iterable[PaperRecord],
+) -> dict[tuple[str, int], ExpertiseVector]:
+    profiles: dict[tuple[str, int], ExpertiseVector] = {}
+    for paper in papers:
+        for author in paper.authors:
+            key = (author, paper.year)
+            if key not in profiles:
+                profiles[key] = profile_author(
+                    corpus, background, author, paper.year, config
+                )
+    return profiles
+
+
 def build_profiles(
     corpus: Corpus,
     config: AnalysisConfig,
@@ -130,16 +153,9 @@ def build_profiles(
     """
     if background is None:
         background = background_distribution(corpus)
-    profiles: dict[tuple[str, int], ExpertiseVector] = {}
-    for paper_id in paper_ids:
-        paper = corpus.by_id[paper_id]
-        for author in paper.authors:
-            key = (author, paper.year)
-            if key not in profiles:
-                profiles[key] = profile_author(
-                    corpus, background, author, paper.year, config
-                )
-    return profiles
+    ids = list(paper_ids)
+    records = _records_of(corpus, ids)
+    return _build_profiles(corpus, config, background, map(records.__getitem__, ids))
 
 
 def compute_paper_metrics(
@@ -151,8 +167,9 @@ def compute_paper_metrics(
 ) -> list[PaperDiversity]:
     """Diversity metrics for the given papers, ordered by paper id.
 
-    A profile keyed (author, Y) is read only by papers of year Y, so papers
-    are profiled and scored one publication year at a time: that year's
+    The papers' records are found in one pass over the corpus. A profile
+    keyed (author, Y) is read only by papers of year Y, so papers are
+    profiled and scored one publication year at a time: that year's
     profiles are built, its papers scored, and the profiles dropped before
     the next year starts. At most one year's profiles are alive at once.
     A caller-supplied ``profiles`` mapping is used for every year's lookups
@@ -161,22 +178,24 @@ def compute_paper_metrics(
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
-    by_id = corpus.by_id
-    ids_by_year: dict[int, list[str]] = {}
-    for paper_id in sorted(paper_ids):
-        ids_by_year.setdefault(by_id[paper_id].year, []).append(paper_id)
+    ids = sorted(paper_ids)
+    records = _records_of(corpus, ids)
+    papers_by_year: dict[int, list[PaperRecord]] = {}
+    for paper in map(records.__getitem__, ids):
+        papers_by_year.setdefault(paper.year, []).append(paper)
+    del ids, records  # scoring needs only the per-year lists
     background = background_distribution(corpus) if profiles is None else None
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
     metrics: list[PaperDiversity] = []
-    for year, ids in ids_by_year.items():
+    for year, papers in papers_by_year.items():
         if profiles is None:
-            lookup = build_profiles(corpus, config, ids, background=background)
+            lookup = _build_profiles(corpus, config, background, papers)
         else:
             lookup = profiles
-        for paper_id in ids:
-            team = [lookup[(author, year)] for author in by_id[paper_id].authors]
-            metrics.append(paper_diversity(paper_id, team, threshold, inclusive=inclusive))
+        for paper in papers:
+            team = [lookup[(author, year)] for author in paper.authors]
+            metrics.append(paper_diversity(paper.id, team, threshold, inclusive=inclusive))
         del lookup  # this year's profiles go before the next year's are built
     metrics.sort(key=attrgetter("paper_id"))
     return metrics
@@ -283,8 +302,9 @@ def aggregate_report(
     citations: dict[str, list[int]] = {b.label: [] for b in buckets}
     distances: dict[str, list[float]] = {b.label: [] for b in buckets}
     categories: dict[str, Counter] = {b.label: Counter() for b in buckets}
+    records = _records_of(corpus, (m.paper_id for m in metrics))
     for m in metrics:
-        cited = corpus.by_id[m.paper_id].citations_5y
+        cited = records[m.paper_id].citations_5y
         if cited is None:
             raise ValueError(f"paper {m.paper_id!r} has no citation count")
         for b in buckets:

@@ -1,10 +1,14 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import teamdiv
 import teamdiv.cli as cli
 from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig
@@ -234,6 +238,41 @@ def test_analyze_and_validate_name_the_same_line(tmp_path, capsys):
     assert "record 5: empty authors" in capsys.readouterr().out
     assert main(["analyze", str(path), "--output", str(tmp_path / "out")]) == 1
     assert "error: record 5: empty authors" in capsys.readouterr().err
+
+
+def test_citation_count_beyond_float_exactness_is_rejected(tmp_path, capsys):
+    # medians and correlations convert counts to float: 10**400 overflowed there
+    path = tmp_path / "huge.jsonl"
+    records = [json.loads(line) for line in write_valid_corpus(path, 12).read_text().splitlines()]
+    records[3 * 9 + 2]["citations_5y"] = 10**400  # paper p9, line 30
+    write_jsonl(path, records)
+    reason = "citations_5y must be at most 2**53 in 'p9'"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"record 30: {reason}"
+    assert main(["analyze", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: record 30: {reason}\n"
+    records[3 * 9 + 2]["citations_5y"] = 2**53
+    write_jsonl(path, records)
+    assert main(["validate", str(path)]) == 0
+    assert main(["analyze", str(path), "--output", str(tmp_path / "out")]) == 0
+
+
+def test_validate_and_analyze_never_import_numpy(valid_corpus_path, tmp_path):
+    # numpy serves only synth; the other commands must not pay for its import
+    script = (
+        "import sys, teamdiv, teamdiv.cli\n"
+        "assert teamdiv.cli.main(sys.argv[1:3]) == 0\n"
+        "assert teamdiv.cli.main(sys.argv[3:]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(teamdiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script, "validate", str(valid_corpus_path),
+         "analyze", str(valid_corpus_path), "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize(

@@ -243,7 +243,7 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
     corpus = _multi_year_corpus()
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
-    real_build_profiles = report.build_profiles
+    real_build_profiles = report._build_profiles
     finalizers = []
     alive_at_each_call = []
 
@@ -256,7 +256,7 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
         finalizers.append(weakref.finalize(profiles, lambda: None))
         return profiles
 
-    monkeypatch.setattr(report, "build_profiles", spy)
+    monkeypatch.setattr(report, "_build_profiles", spy)
     # as in analyze: with the collector off, only reference counting frees
     was_enabled = gc.isenabled()
     gc.collect()
@@ -271,6 +271,18 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
     assert alive_at_each_call == [[], [False], [False, False]]
     assert not any(f.alive for f in finalizers)
     assert cycles == 0
+
+
+def test_the_pipeline_never_builds_the_whole_corpus_id_map():
+    corpus = _team_corpus(n_papers=12, shared_topics=False, seed=3)
+    config = AnalysisConfig()
+    run_analysis(corpus, config)
+    assert "by_id" not in vars(corpus)
+    selected = select_analysis_set(corpus, config)
+    metrics = compute_paper_metrics(corpus, config, selected)
+    aggregate_report(corpus, config, metrics)
+    build_profiles(corpus, config, sorted(selected))
+    assert "by_id" not in vars(corpus)
 
 
 @pytest.mark.parametrize("jobs", [0, 2])
