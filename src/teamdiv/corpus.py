@@ -12,7 +12,9 @@ not UTF-8, or an id, author or topic whose JSON escapes decode to a lone
 surrogate, is reported as ``invalid UTF-8``.
 
 Every record enters through one path: a generator decodes and checks each
-JSONL line and yields the decoded object or the error rejecting it.
+JSONL line and yields the decoded object or the error rejecting it. A line
+is decoded by one call to the JSON scanner; ``json.loads`` runs only on a
+line that call rejects, to word its error.
 ``validate_jsonl`` keeps only the errors and builds nothing; ``load_corpus``
 builds a ``PaperRecord`` from each kept object, sharing one object per
 distinct author, topic, topic set and year within the load.
@@ -266,6 +268,15 @@ def build_author_index(papers: Iterable[PaperRecord]) -> dict[str, list[PaperRec
     return index
 
 
+def _all_nonblank_str(values: list) -> bool:
+    # join raises TypeError unless every element is a str; both tests run in C.
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return "" not in values
+
+
 def _check_record(position: int, raw: object) -> str:
     """Check one decoded record against the schema and return its id."""
     if not isinstance(raw, dict):
@@ -279,14 +290,14 @@ def _check_record(position: int, raw: object) -> str:
     authors = raw.get("authors")
     if not isinstance(authors, list) or not authors:
         raise CorpusValidationError(position, f"empty authors in {paper_id!r}")
-    if not all(isinstance(a, str) and a for a in authors):
+    if not _all_nonblank_str(authors):
         raise CorpusValidationError(position, f"blank author id in {paper_id!r}")
     if len(set(authors)) != len(authors):
         raise CorpusValidationError(position, f"duplicate author within {paper_id!r}")
     topics = raw.get("topics")
     if not isinstance(topics, list) or not topics:
         raise CorpusValidationError(position, f"empty topics in {paper_id!r}")
-    if not all(isinstance(t, str) and t for t in topics):
+    if not _all_nonblank_str(topics):
         raise CorpusValidationError(position, f"blank topic id in {paper_id!r}")
     citations = raw.get("citations_5y")
     if citations is not None:
@@ -301,6 +312,9 @@ def _check_record(position: int, raw: object) -> str:
     return paper_id
 
 
+_scan = json.JSONDecoder().raw_decode
+
+
 def _decode_line(lineno: int, line: str) -> object:
     # Lines are read with errors="surrogateescape", so an undecodable byte
     # is a lone surrogate that cannot re-encode. isascii() is O(1).
@@ -309,6 +323,14 @@ def _decode_line(lineno: int, line: str) -> object:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise CorpusValidationError(lineno, "invalid UTF-8") from None
+    try:
+        value, end = _scan(line)
+        if end == len(line):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    # The line is stripped, so json.loads rejects it too; it runs only to
+    # word the error (a BOM, extra data, ...).
     try:
         return json.loads(line)
     except (ValueError, RecursionError) as exc:  # also deep nesting and the int-digit limit
@@ -329,8 +351,11 @@ def _check_records(lines: Iterable[str]) -> Iterator[dict | CorpusValidationErro
     """Yield each JSONL record in order, as its checked object or as the error rejecting it.
 
     Records are numbered by physical line; blank lines are skipped but
-    counted. Only a line holding a ``\\u`` escape can decode to a lone
-    surrogate, so only those lines are searched for one.
+    counted. Each stripped line is decoded by one scanner call, which must
+    consume the whole line; ``json.loads`` runs only on a line that call
+    rejects, and only to word its ``invalid JSON`` error. Only a line holding
+    a ``\\u`` escape can decode to a lone surrogate, so only those lines are
+    searched for one.
     """
     seen: set[str] = set()
     for position, line in enumerate(lines, start=1):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,19 +46,40 @@ def test_parse_rejects_duplicate_id_by_name():
         load_records(records)
 
 
+# Every JSON value that is not a nonempty string, as an author or topic id.
+_BLANK_IDS = [1, 1.5, True, None, [], {}, ""]
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, reason",
     [
-        record("p1", "2010", ["a"], ["t"]),
-        record("p1", 2010, ["a", "a"], ["t"]),
-        record("p1", 2010, ["a"], []),
-        record("p1", 2010, ["a"], ["t"], citations=-1),
-        {"year": 2010, "authors": ["a"], "topics": ["t"]},
+        pytest.param(record("p1", "2010", ["a"], ["t"]), "non-integer year in 'p1'", id="bad0"),
+        pytest.param(record("p1", 2010, ["a", "a"], ["t"]), "duplicate author within 'p1'",
+                     id="bad1"),
+        pytest.param(record("p1", 2010, ["a"], []), "empty topics in 'p1'", id="bad2"),
+        pytest.param(record("p1", 2010, ["a"], ["t"], citations=-1),
+                     "citations_5y must be a nonnegative integer in 'p1'", id="bad3"),
+        pytest.param({"year": 2010, "authors": ["a"], "topics": ["t"]}, "missing or empty id",
+                     id="bad4"),
+        *(pytest.param(record("p1", 2010, ["a", value], ["t"]), "blank author id in 'p1'",
+                       id=f"author-{json.dumps(value)}") for value in _BLANK_IDS),
+        *(pytest.param(record("p1", 2010, ["a"], ["t", value]), "blank topic id in 'p1'",
+                       id=f"topic-{json.dumps(value)}") for value in _BLANK_IDS),
+        pytest.param(record("p1", 2010, ["a", "a", ""], ["t"]), "blank author id in 'p1'",
+                     id="blank-before-duplicate-author"),
     ],
 )
-def test_parse_rejects_malformed_records(bad):
-    with pytest.raises(CorpusValidationError):
+def test_parse_rejects_malformed_records(bad, reason):
+    with pytest.raises(CorpusValidationError, match=rf"^record 1: {re.escape(reason)}$"):
         load_records([bad])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(),
+                          st.none(), st.just([]), st.just({})), max_size=5))
+def test_nonblank_id_check_matches_the_per_element_loop(values):
+    expected = all(isinstance(x, str) and x for x in values)
+    assert corpus_module._all_nonblank_str(values) == expected
 
 
 def test_lenient_mode_skips_and_counts():
@@ -125,6 +147,17 @@ def _line(*args, **kwargs) -> bytes:
             id="lone-surrogate",
         ),
         pytest.param(
+            [_line("p1", 2010, ["a", value], ["t"]) for value in _BLANK_IDS]
+            + [_line("p1", 2010, ["a", "", "a"], ["t"])],
+            dict.fromkeys(range(1, len(_BLANK_IDS) + 2), "blank author id in 'p1'"),
+            id="blank-author-ids",
+        ),
+        pytest.param(
+            [_line("p1", 2010, ["a"], ["t", value]) for value in _BLANK_IDS],
+            dict.fromkeys(range(1, len(_BLANK_IDS) + 1), "blank topic id in 'p1'"),
+            id="blank-topic-ids",
+        ),
+        pytest.param(
             [_line("p\ud83d\ude00", 2010, ["a\U0001f600"], ["t"]), b'{"id": "\\\\ud800", '
              b'"year": 2010, "authors": ["a"], "topics": ["t"]}'],
             {},
@@ -150,6 +183,62 @@ def test_parse_rejects_lone_surrogate(field):
     corpus = load_records([bad, record("p2", 2011, ["b"], ["t\U0001f600"])], strict=False)
     assert [p.id for p in corpus.papers] == ["p2"]
     assert corpus.skipped == 1
+
+
+def _loads_outcome(line):
+    try:
+        return repr(json.loads(line))
+    except (ValueError, RecursionError) as exc:
+        return f"invalid JSON: {exc}"
+
+
+def _decode_outcome(line):
+    try:
+        return repr(corpus_module._decode_line(1, line))  # repr: NaN != NaN
+    except CorpusValidationError as exc:
+        return exc.reason
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param('\ufeff{"a":1}', id="bom"),
+        pytest.param('{"a":1} x', id="trailing-text"),
+        pytest.param('{"a":1}{"b":2}', id="two-objects"),
+        pytest.param("1 2", id="two-numbers"),
+        pytest.param("NaN", id="nan"),
+        pytest.param('{"a":Infinity}', id="infinity"),
+        pytest.param("[" * 200_000, id="deep-nesting"),
+        pytest.param("7" * 5000, id="int-digit-limit"),
+        pytest.param("tru", id="truncated-literal"),
+    ],
+)
+def test_decode_line_matches_json_loads(line):
+    assert _decode_outcome(line) == _loads_outcome(line)
+
+
+# JSON punctuation and literals often enough to reach the scanner's deeper
+# states; lone surrogates are left out, since they are reported as invalid UTF-8.
+_json_ish = st.text(
+    st.sampled_from(list('{}[]":, 0123456789.eE+-\\truefalsnNIfiy')) |
+    st.characters(exclude_categories=["Cs"]),
+    max_size=40,
+).map(str.strip)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_json_ish)
+def test_decode_line_matches_json_loads_on_any_text(line):
+    assert _decode_outcome(line) == _loads_outcome(line)
+
+
+def test_a_valid_line_never_reaches_json_loads(monkeypatch):
+    def fail(line):
+        raise AssertionError(f"json.loads ran on {line!r}")
+
+    monkeypatch.setattr(corpus_module.json, "loads", fail)
+    line = json.dumps(record("p1", 2010, ["a"], ["t"], citations=3))
+    assert corpus_module._decode_line(1, line) == json.JSONDecoder().decode(line)
 
 
 # --- building: one object per distinct topic, topic set and year ---
