@@ -242,7 +242,7 @@ def test_a_valid_line_never_reaches_json_loads(monkeypatch):
 
 
 # --- building: one object per distinct topic, topic set and year ---
-# Each line goes through its own json.loads, so no two input records share a
+# Each line goes through its own scanner call, so no two input records share a
 # string or an int object before the corpus is built.
 
 
