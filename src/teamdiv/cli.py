@@ -28,7 +28,6 @@ from .report import (
     ALL_FORMATS,
     EmptyAnalysisSetError,
     aggregate_report,
-    build_profiles,
     compute_paper_metrics,
     render,
 )
@@ -154,9 +153,9 @@ def _analyze(args: argparse.Namespace) -> int:
     if not selected:
         print("error: no papers satisfy the selection constraints", file=sys.stderr)
         return EXIT_FAILURE
-    # The profile dump is sorted by (author, year), so it needs every profile
-    # at once; without it, each year's profiles are dropped once scored.
-    profiles = build_profiles(corpus, config, sorted(selected)) if args.dump_profiles else None
+    # The profile dump is sorted by (author, year), so scoring keeps every
+    # vector it builds in this dict; without it, each year's are dropped once scored.
+    profiles = {} if args.dump_profiles else None
     metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
     report = aggregate_report(corpus, config, metrics)
 
@@ -222,7 +221,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        corpus = generate_corpus(params)
+        papers = generate_corpus(params)
     except ValueError as exc:  # more clusters than authors, or a value numpy's samplers reject
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -230,12 +229,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     corpus_path = out_dir / "corpus.jsonl"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_corpus_jsonl(corpus, corpus_path)
+        write_corpus_jsonl(papers, corpus_path)
         write_params(params, out_dir / "params.json")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(corpus)} records ({params.n_papers} analysis papers) to {corpus_path}")
+    print(f"wrote {len(papers)} records ({params.n_papers} analysis papers) to {corpus_path}")
     return EXIT_OK
 
 

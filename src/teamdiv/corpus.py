@@ -9,7 +9,8 @@ The on-disk format is JSONL, one record per line:
 Unknown keys are ignored. Blank lines are skipped. Problems are named by
 physical line number, blank lines included; a line holding bytes that are
 not UTF-8, or an id, author or topic whose JSON escapes decode to a lone
-surrogate, is reported as ``invalid UTF-8``.
+surrogate, is reported as ``invalid UTF-8``; one nested more than 500 levels
+deep is ``invalid JSON`` wherever the load is called from.
 
 Every record enters through one path: a generator decodes and checks each
 JSONL line and yields the decoded object or the error rejecting it. A line
@@ -17,7 +18,8 @@ is decoded by one call to the JSON scanner; ``json.loads`` runs only on a
 line that call rejects, to word its error.
 ``validate_jsonl`` keeps only the errors and builds nothing; ``load_corpus``
 builds a ``PaperRecord`` from each kept object, sharing one object per
-distinct author, topic, topic set and year within the load.
+distinct author, topic, topic set and year within the load, and is the only
+code that builds a ``Corpus``.
 
 The author index maps each author to their own ``PaperRecord`` objects,
 sorted by (year, id); a window of years is a slice of that list found by
@@ -27,10 +29,12 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 
@@ -59,8 +63,6 @@ class CorpusValidationError(ValueError):
 
     def __init__(self, position: int, message: str):
         super().__init__(f"record {position}: {message}")
-        self.position = position
-        self.reason = message
 
 
 class ConfigError(ValueError):
@@ -245,27 +247,9 @@ class Corpus:
     def by_id(self) -> dict[str, PaperRecord]:
         return {p.id: p for p in self.papers}
 
-    @classmethod
-    def from_papers(cls, papers: Sequence[PaperRecord], skipped: int = 0) -> "Corpus":
-        return cls(
-            papers=tuple(papers),
-            author_index=build_author_index(papers),
-            skipped=skipped,
-        )
-
 
 _year = attrgetter("year")
 _year_and_id = attrgetter("year", "id")
-
-
-def build_author_index(papers: Iterable[PaperRecord]) -> dict[str, list[PaperRecord]]:
-    index: dict[str, list[PaperRecord]] = {}
-    for paper in papers:
-        for author in paper.authors:
-            index.setdefault(author, []).append(paper)
-    for entries in index.values():
-        entries.sort(key=_year_and_id)
-    return index
 
 
 def _all_nonblank_str(values: list) -> bool:
@@ -314,6 +298,21 @@ def _check_record(position: int, raw: object) -> str:
 
 _scan = json.JSONDecoder().raw_decode
 
+# The JSON scanner recurses once per array or object level, so without a
+# bound of its own a line's validity would depend on how much of Python's
+# recursion limit the caller's stack has left. A record nests two levels.
+_MAX_DEPTH = 500
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _nested_too_deep(line: str) -> bool:
+    """Whether the brackets outside strings nest deeper than ``_MAX_DEPTH``."""
+    if line.count("[") + line.count("{") <= _MAX_DEPTH:
+        return False
+    steps = (_NESTING.get(char, 0) for char in _STRING.sub("", line))
+    return max(accumulate(steps), default=0) > _MAX_DEPTH
+
 
 def _decode_line(lineno: int, line: str) -> object:
     # Lines are read with errors="surrogateescape", so an undecodable byte
@@ -323,6 +322,9 @@ def _decode_line(lineno: int, line: str) -> object:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise CorpusValidationError(lineno, "invalid UTF-8") from None
+    # A line no longer than the bound cannot nest deeper than it.
+    if len(line) > _MAX_DEPTH and _nested_too_deep(line):
+        raise CorpusValidationError(lineno, f"invalid JSON: nested deeper than {_MAX_DEPTH} levels")
     try:
         value, end = _scan(line)
         if end == len(line):
@@ -333,7 +335,7 @@ def _decode_line(lineno: int, line: str) -> object:
     # word the error (a BOM, extra data, ...).
     try:
         return json.loads(line)
-    except (ValueError, RecursionError) as exc:  # also deep nesting and the int-digit limit
+    except (ValueError, RecursionError) as exc:  # also the int-digit limit
         raise CorpusValidationError(lineno, f"invalid JSON: {exc}") from None
 
 
@@ -410,7 +412,13 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
                     item.get("citations_5y"),
                 )
             )
-    return Corpus.from_papers(papers, skipped=skipped)
+    author_index: dict[str, list[PaperRecord]] = {}
+    for paper in papers:
+        for author in paper.authors:
+            author_index.setdefault(author, []).append(paper)
+    for entries in author_index.values():
+        entries.sort(key=_year_and_id)
+    return Corpus(tuple(papers), author_index, skipped)
 
 
 def validate_jsonl(path: str | Path) -> list[CorpusValidationError]:
@@ -419,23 +427,14 @@ def validate_jsonl(path: str | Path) -> list[CorpusValidationError]:
         return [e for e in _check_records(handle) if isinstance(e, CorpusValidationError)]
 
 
-def record_to_dict(paper: PaperRecord) -> dict:
-    data: dict = {
-        "id": paper.id,
-        "year": paper.year,
-        "authors": list(paper.authors),
-        "topics": sorted(paper.topics),
-    }
-    if paper.citations_5y is not None:
-        data["citations_5y"] = paper.citations_5y
-    return data
-
-
-def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
+def write_corpus_jsonl(papers: Iterable[PaperRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for paper in corpus.papers:
-            handle.write(json.dumps(record_to_dict(paper), sort_keys=True))
-            handle.write("\n")
+        for paper in papers:
+            data = {"id": paper.id, "year": paper.year, "authors": list(paper.authors),
+                    "topics": sorted(paper.topics)}
+            if paper.citations_5y is not None:
+                data["citations_5y"] = paper.citations_5y
+            handle.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def _window_bounds(

@@ -40,7 +40,6 @@ class ExpertiseVector:
     so canonical serialization is deterministic.
     """
 
-    owner: str
     entries: Mapping[str, float]
 
     @property
@@ -78,7 +77,6 @@ def expertise_vector(
     author_dist: TopicDistribution,
     background: TopicDistribution,
     k: int,
-    owner: str = "",
 ) -> ExpertiseVector:
     """Rank the author's topics by background-adjusted weight and keep the top k.
 
@@ -99,7 +97,7 @@ def expertise_vector(
             scored.append((-numerator, topic))
     scored.sort()
     entries = {topic: -neg / denominator for neg, topic in scored[:k]}
-    return ExpertiseVector(owner=owner, entries=entries)
+    return ExpertiseVector(entries)
 
 
 def profile_author(
@@ -116,8 +114,8 @@ def profile_author(
     """
     papers = window_papers(corpus, author, as_of_year, config.window_years)
     if not papers:
-        return ExpertiseVector(owner=author, entries={})
-    return expertise_vector(topic_distribution(papers), background, config.top_k, owner=author)
+        return ExpertiseVector({})
+    return expertise_vector(topic_distribution(papers), background, config.top_k)
 
 
 def write_profiles(

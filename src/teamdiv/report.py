@@ -12,7 +12,7 @@ import csv
 import json
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -117,27 +117,35 @@ class AnalysisReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _records_of(corpus: Corpus, paper_ids: Iterable[str]) -> dict[str, PaperRecord]:
-    """The corpus records with the given ids, keyed by id, from one pass over the corpus."""
+def _papers_by_year(corpus: Corpus, paper_ids: Iterable[str]) -> dict[int, list[PaperRecord]]:
+    """The records of the given ids grouped by year, from one pass over the corpus."""
     wanted = set(paper_ids)
-    return {paper.id: paper for paper in corpus.papers if paper.id in wanted}
+    papers_by_year: dict[int, list[PaperRecord]] = {}
+    for paper in corpus.papers:
+        if paper.id in wanted:
+            papers_by_year.setdefault(paper.year, []).append(paper)
+    return papers_by_year
 
 
-def _build_profiles(
+def _get_or_build(
     corpus: Corpus,
     config: AnalysisConfig,
-    background: TopicDistribution,
-    papers: Iterable[PaperRecord],
-) -> dict[tuple[str, int], ExpertiseVector]:
-    profiles: dict[tuple[str, int], ExpertiseVector] = {}
-    for paper in papers:
-        for author in paper.authors:
-            key = (author, paper.year)
-            if key not in profiles:
-                profiles[key] = profile_author(
-                    corpus, background, author, paper.year, config
-                )
-    return profiles
+    background: TopicDistribution | None = None,
+) -> Callable[[dict, str, int], ExpertiseVector]:
+    """The step ``vector(store, author, year)``: the vector stored under (author,
+    year), built and stored there if missing. A background not given is
+    computed on the first build, so at most once, and only if a vector is missing.
+    """
+
+    def vector(store: dict, author: str, year: int) -> ExpertiseVector:
+        nonlocal background
+        found = store.get((author, year))
+        if found is None:
+            background = background or background_distribution(corpus)
+            found = store[author, year] = profile_author(corpus, background, author, year, config)
+        return found
+
+    return vector
 
 
 def build_profiles(
@@ -148,55 +156,49 @@ def build_profiles(
 ) -> dict[tuple[str, int], ExpertiseVector]:
     """Expertise vectors for every (author, year) pair the papers need.
 
-    The returned dict holds every profile it builds, so its size grows with
-    the number of distinct (author, year) pairs among the given papers.
+    ``compute_paper_metrics``' grouping and get-or-build step, without the
+    scoring; the dict grows with the distinct (author, year) pairs.
     """
-    if background is None:
-        background = background_distribution(corpus)
-    ids = list(paper_ids)
-    records = _records_of(corpus, ids)
-    return _build_profiles(corpus, config, background, map(records.__getitem__, ids))
+    vector = _get_or_build(corpus, config, background)
+    profiles: dict[tuple[str, int], ExpertiseVector] = {}
+    for year, papers in _papers_by_year(corpus, paper_ids).items():
+        for paper in papers:
+            for author in paper.authors:
+                vector(profiles, author, year)
+    return profiles
 
 
 def compute_paper_metrics(
     corpus: Corpus,
     config: AnalysisConfig,
     paper_ids: Iterable[str],
-    profiles: Mapping[tuple[str, int], ExpertiseVector] | None = None,
+    profiles: dict[tuple[str, int], ExpertiseVector] | None = None,
     jobs: int = 1,
 ) -> list[PaperDiversity]:
     """Diversity metrics for the given papers, ordered by paper id.
 
-    The papers' records are found in one pass over the corpus. A profile
-    keyed (author, Y) is read only by papers of year Y, so papers are
-    profiled and scored one publication year at a time: that year's
-    profiles are built, its papers scored, and the profiles dropped before
-    the next year starts. At most one year's profiles are alive at once.
-    A caller-supplied ``profiles`` mapping is used for every year's lookups
-    instead, and nothing is built. ``jobs`` accepts only 1; it is kept
+    One pass over the corpus groups the papers by year; this is the only
+    place the analysis builds expertise vectors. A vector keyed (author, Y)
+    is read only by papers of year Y, so each year's vectors are built in
+    that year's own dict, its papers scored, and the dict dropped before the
+    next year starts. A caller's ``profiles`` dict serves every year instead and
+    receives each vector it lacks. ``jobs`` accepts only 1; it is kept
     because existing callers still pass ``jobs=1``.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
-    ids = sorted(paper_ids)
-    records = _records_of(corpus, ids)
-    papers_by_year: dict[int, list[PaperRecord]] = {}
-    for paper in map(records.__getitem__, ids):
-        papers_by_year.setdefault(paper.year, []).append(paper)
-    del ids, records  # scoring needs only the per-year lists
-    background = background_distribution(corpus) if profiles is None else None
+    vector = _get_or_build(corpus, config)
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
     metrics: list[PaperDiversity] = []
-    for year, papers in papers_by_year.items():
-        if profiles is None:
-            lookup = _build_profiles(corpus, config, background, papers)
-        else:
-            lookup = profiles
-        for paper in papers:
-            team = [lookup[(author, year)] for author in paper.authors]
+    for year, papers in _papers_by_year(corpus, paper_ids).items():
+        store = {} if profiles is None else profiles
+        # A year's vectors are all built before its papers are scored, so that
+        # freeing them frees whole pages, not pages shared with the metrics.
+        teams = [[vector(store, author, year) for author in paper.authors] for paper in papers]
+        for paper, team in zip(papers, teams):
             metrics.append(paper_diversity(paper.id, team, threshold, inclusive=inclusive))
-        del lookup  # this year's profiles go before the next year's are built
+        del teams, team  # else they outlive their year while the next year's are built
     metrics.sort(key=attrgetter("paper_id"))
     return metrics
 
@@ -302,7 +304,8 @@ def aggregate_report(
     citations: dict[str, list[int]] = {b.label: [] for b in buckets}
     distances: dict[str, list[float]] = {b.label: [] for b in buckets}
     categories: dict[str, Counter] = {b.label: Counter() for b in buckets}
-    records = _records_of(corpus, (m.paper_id for m in metrics))
+    wanted = {m.paper_id for m in metrics}
+    records = {paper.id: paper for paper in corpus.papers if paper.id in wanted}
     for m in metrics:
         cited = records[m.paper_id].citations_5y
         if cited is None:

@@ -26,7 +26,6 @@ class ZeroVarianceError(ValueError):
 class CorrelationResult:
     r: float
     p_value: float
-    n: int
 
     @property
     def significant(self) -> bool:
@@ -84,7 +83,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     else:
         t = r * math.sqrt(df / (1.0 - r * r))
         p = student_t_two_sided_p(t, df)
-    return CorrelationResult(r=r, p_value=p, n=n)
+    return CorrelationResult(r=r, p_value=p)
 
 
 def chi_square_homogeneity(

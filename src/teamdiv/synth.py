@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, PaperRecord, _is_int, _is_number, _is_pair
+from .corpus import PaperRecord, _is_int, _is_number, _is_pair
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -166,11 +166,12 @@ def _distinct_clusters(rng: np.random.Generator, n_clusters: int, m: int) -> lis
     return chosen
 
 
-def generate_corpus(params: SynthParams) -> Corpus:
-    """Build a corpus of backfill records plus analysis papers.
+def generate_corpus(params: SynthParams) -> list[PaperRecord]:
+    """Build the records of a corpus: filler and backfill records plus analysis papers.
 
-    Deterministic for a fixed seed. The returned corpus round-trips
-    through the JSONL schema unchanged.
+    Deterministic for a fixed seed. The records round-trip through the JSONL
+    schema unchanged; write them with ``write_corpus_jsonl`` and read them
+    back with ``load_corpus``.
     """
     rng = np.random.default_rng(params.seed)
     cores = _cluster_cores(params)
@@ -284,4 +285,4 @@ def generate_corpus(params: SynthParams) -> Corpus:
         )
         for i in range(params.n_papers)
     ]
-    return Corpus.from_papers(filler_records + backfill_records + analysis_records)
+    return filler_records + backfill_records + analysis_records

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from teamdiv.corpus import load_corpus
+from teamdiv.corpus import load_corpus, write_corpus_jsonl
 from teamdiv.diversity import paper_diversity
 
 
@@ -21,6 +21,14 @@ def load_records(records, strict=True):
         path = Path(tmp) / "corpus.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         return load_corpus(path, strict=strict)
+
+
+def load_papers(papers):
+    """Write PaperRecords as the synth command does and load them as the CLI does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_corpus_jsonl(papers, path)
+        return load_corpus(path)
 
 
 def pair_distance(u, v):

@@ -33,7 +33,7 @@ from teamdiv.stats import (
     student_t_two_sided_p,
 )
 from teamdiv.synth import SynthParams, generate_corpus
-from tests.conftest import pair_distance
+from tests.conftest import load_papers, pair_distance
 
 
 def _verdict(name, passed, detail=""):
@@ -124,13 +124,12 @@ def _closure_components(vertices, edges):
 def _random_team(rng, n, topics):
     # some members without expertise; the rest draw weights over a few topics
     return [
-        ExpertiseVector(f"v{i:02d}", {})
+        ExpertiseVector({})
         if rng.random() < 0.15
         else ExpertiseVector(
-            f"v{i:02d}",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, rng.randint(1, len(topics)))},
         )
-        for i in range(n)
+        for _ in range(n)
     ]
 
 
@@ -143,7 +142,7 @@ def test_component_oracle():
         n = rng.randint(1, 12)
         threshold = thresholds[trial % 11]
         team = _random_team(rng, n, topics)
-        vertices = tuple(v.owner for v in team)
+        vertices = tuple(range(n))
         edges = set()
         distances = []
         for i in range(n):
@@ -162,9 +161,9 @@ def test_component_oracle():
         ):
             mismatches += 1
     team = (
-        [ExpertiseVector(f"g1_{i}", {"ml": 0.5}) for i in range(3)]
-        + [ExpertiseVector(f"g2_{i}", {"hci": 0.5}) for i in range(2)]
-        + [ExpertiseVector(f"g3_{i}", {"db": 0.5}) for i in range(2)]
+        [ExpertiseVector({"ml": 0.5}) for _ in range(3)]
+        + [ExpertiseVector({"hci": 0.5}) for _ in range(2)]
+        + [ExpertiseVector({"db": 0.5}) for _ in range(2)]
     )
     count = paper_diversity("fixture", team, 0.3).n_components
     fixture_ok = count == 3 and categorize(count) is DiversityCategory.MODERATE
@@ -221,17 +220,15 @@ def test_metric_invariants():
     for trial in range(trials):
         k = rng.randint(1, 6)
         u = ExpertiseVector(
-            "a",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, k)},
         )
         v = ExpertiseVector(
-            "b",
             {t: rng.uniform(0.01, 1.0) for t in rng.sample(topics, rng.randint(1, 6))},
         )
         d_uv = pair_distance(u, v)
         d_vu = pair_distance(v, u)
         scale = rng.uniform(0.01, 100.0)
-        scaled = ExpertiseVector("a", {t: w * scale for t, w in u.entries.items()})
+        scaled = ExpertiseVector({t: w * scale for t, w in u.entries.items()})
         d_scaled = pair_distance(scaled, v)
         ok = (
             d_uv == d_vu
@@ -243,10 +240,9 @@ def test_metric_invariants():
             n = rng.randint(2, 7)
             team = [
                 ExpertiseVector(
-                    f"m{i}",
                     {t: rng.uniform(0.05, 1.0) for t in rng.sample(topics, rng.randint(1, 4))},
                 )
-                for i in range(n)
+                for _ in range(n)
             ]
             results = [
                 paper_diversity("p", team, thr) for thr in (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -268,7 +264,7 @@ def _power_run(args):
     params = SynthParams(
         seed=seed, n_papers=20_000, n_authors=4000, coupling=coupling
     )
-    report = run_analysis(generate_corpus(params), AnalysisConfig())
+    report = run_analysis(load_papers(generate_corpus(params)), AnalysisConfig())
     corr = report.ratio_correlation
     return None if corr is None else (corr.r, corr.p_value)
 
@@ -327,7 +323,7 @@ def test_throughput_at_scale():
         n_topics=400,
         n_expertise_clusters=40,
     )
-    corpus = generate_corpus(params)
+    corpus = load_papers(generate_corpus(params))
     report = run_analysis(corpus, AnalysisConfig())
     elapsed = time.time() - started
     _verdict(

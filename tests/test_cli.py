@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import teamdiv
 import teamdiv.cli as cli
 from teamdiv.cli import main
-from teamdiv.corpus import AnalysisConfig
+from teamdiv.corpus import AnalysisConfig, load_corpus, select_analysis_set
+from teamdiv.expertise import write_profiles
+from teamdiv.report import build_profiles
 from teamdiv.synth import SynthParams
 from tests.conftest import record
 
@@ -513,6 +515,12 @@ def test_dump_profiles_never_changes_the_metrics(tmp_path):
                  "--dump-profiles", str(tmp_path / "profiles.jsonl")]) == 0
     assert plain.read_bytes() == dumped.read_bytes()
     assert snapshot(tmp_path / "a") == snapshot(tmp_path / "b")
+    # the dump holds what scoring built: every vector the selected papers need
+    loaded = load_corpus(corpus)
+    config = AnalysisConfig()
+    expected = tmp_path / "expected.jsonl"
+    write_profiles(expected, build_profiles(loaded, config, select_analysis_set(loaded, config)))
+    assert (tmp_path / "profiles.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_format_selection(valid_corpus_path, tmp_path):

@@ -15,36 +15,36 @@ from teamdiv.expertise import ExpertiseVector
 from tests.conftest import pair_distance
 
 
-def vec(owner, **weights):
-    return ExpertiseVector(owner=owner, entries=weights)
+def vec(**weights):
+    return ExpertiseVector(entries=weights)
 
 
 def test_identical_vectors_distance_zero():
-    u = vec("a", ml=0.4, nlp=0.2)
-    assert pair_distance(u, vec("b", ml=0.4, nlp=0.2)) == 0.0
+    u = vec(ml=0.4, nlp=0.2)
+    assert pair_distance(u, vec(ml=0.4, nlp=0.2)) == 0.0
 
 
 def test_disjoint_vectors_distance_one():
-    assert pair_distance(vec("a", ml=0.5), vec("b", hci=0.5)) == 1.0
+    assert pair_distance(vec(ml=0.5), vec(hci=0.5)) == 1.0
 
 
 def test_light_shared_topic_is_not_exact_one():
     # exact 1 means no shared topic; one shared at weight 1e-7 (about the
     # smallest weight a 500k-record corpus gives) leaves a similarity of 1e-14
-    u, v = vec("a", s=1e-7, x=1.0), vec("b", s=1e-7, y=1.0)
+    u, v = vec(s=1e-7, x=1.0), vec(s=1e-7, y=1.0)
     assert pair_distance(u, v) == pair_distance(v, u) == 0.99999999999999
-    assert pair_distance(vec("a", x=1.0), vec("b", y=1.0)) == 1.0
+    assert pair_distance(vec(x=1.0), vec(y=1.0)) == 1.0
 
 
 def test_shared_topic_under_float_resolution_is_not_exact_one():
     # a similarity of 1e-18 leaves 1 - 1e-18, which rounds to 1.0
-    u, v = vec("a", s=1e-9, x=1.0), vec("b", s=1e-9, y=1.0)
+    u, v = vec(s=1e-9, x=1.0), vec(s=1e-9, y=1.0)
     assert pair_distance(u, v) == pair_distance(v, u) == math.nextafter(1.0, 0.0)
 
 
 def test_hand_computed_distance():
-    u = vec("a", t1=0.6, t2=0.8)
-    v = vec("b", t1=0.8, t2=0.6)
+    u = vec(t1=0.6, t2=0.8)
+    v = vec(t1=0.8, t2=0.6)
     # dot 0.96, both norms 1
     assert pair_distance(u, v) == pytest.approx(0.04, abs=1e-12)
 
@@ -53,13 +53,13 @@ def test_distance_symmetric_and_scale_invariant():
     rng = random.Random(7)
     for _ in range(200):
         topics = [f"t{i}" for i in range(rng.randint(1, 8))]
-        u = vec("a", **{t: rng.uniform(0.01, 1) for t in rng.sample(topics, rng.randint(1, len(topics)))})
-        v = vec("b", **{t: rng.uniform(0.01, 1) for t in rng.sample(topics, rng.randint(1, len(topics)))})
+        u = vec(**{t: rng.uniform(0.01, 1) for t in rng.sample(topics, rng.randint(1, len(topics)))})
+        v = vec(**{t: rng.uniform(0.01, 1) for t in rng.sample(topics, rng.randint(1, len(topics)))})
         d = pair_distance(u, v)
         assert 0.0 <= d <= 1.0
         assert pair_distance(v, u) == d
         scale = rng.uniform(0.1, 50)
-        scaled = vec("a", **{t: w * scale for t, w in u.entries.items()})
+        scaled = vec(**{t: w * scale for t, w in u.entries.items()})
         assert pair_distance(scaled, v) == pytest.approx(d, abs=1e-12)
 
 
@@ -73,11 +73,9 @@ def test_distance_symmetric_and_scale_invariant():
     st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_scale_invariance_property(entries, scale):
-    u = ExpertiseVector(owner="a", entries=entries)
-    scaled = ExpertiseVector(
-        owner="a", entries={t: w * scale for t, w in entries.items()}
-    )
-    probe = vec("b", t0=0.3, t1=0.7)
+    u = ExpertiseVector(entries=entries)
+    scaled = ExpertiseVector(entries={t: w * scale for t, w in entries.items()})
+    probe = vec(t0=0.3, t1=0.7)
     assert pair_distance(u, probe) == pytest.approx(
         pair_distance(scaled, probe), abs=1e-12
     )
@@ -109,7 +107,7 @@ def _per_pair_distance(u, v):
     )
 )
 def test_team_distances_match_per_pair_norms(weights):
-    team = [ExpertiseVector(owner=f"a{i}", entries=w) for i, w in enumerate(weights)]
+    team = [ExpertiseVector(entries=w) for w in weights]
     expected = [_per_pair_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)]
     assert [pair_distance(u, team[j]) for i, u in enumerate(team) for j in range(i)] == expected
     assert paper_diversity("p", team, 0.3).max_distance == max(expected)
@@ -119,9 +117,9 @@ def test_team_distances_match_per_pair_norms(weights):
 
 
 def test_pair_counts():
-    team2 = [vec("a", x=1.0), vec("b", x=1.0)]
+    team2 = [vec(x=1.0), vec(x=1.0)]
     assert paper_diversity("p", team2, 0.3).pair_count == 1
-    team7 = [vec(f"a{i}", **{f"t{i}": 1.0}) for i in range(7)]
+    team7 = [vec(**{f"t{i}": 1.0}) for i in range(7)]
     assert paper_diversity("p", team7, 0.3).pair_count == 21
 
 
@@ -141,9 +139,9 @@ def test_one_distance_per_pair(monkeypatch):
     monkeypatch.setattr(diversity, "_norm", counting_norm)
     rng = random.Random(13)
     team = [
-        vec(f"a{i}", **{f"t{j}": rng.uniform(0.1, 1) for j in rng.sample(range(5), 2)})
-        for i in range(10)
-    ] + [ExpertiseVector("e1", {}), ExpertiseVector("e2", {})]
+        vec(**{f"t{j}": rng.uniform(0.1, 1) for j in rng.sample(range(5), 2)})
+        for _ in range(10)
+    ] + [ExpertiseVector({}), ExpertiseVector({})]
     result = paper_diversity("p", team, threshold=0.3)
     assert len(calls) == result.pair_count == 45
     assert len({frozenset(pair) for pair in calls}) == 45
@@ -154,7 +152,7 @@ def test_one_distance_per_pair(monkeypatch):
 def test_pairwise_matches_nested_loop_oracle():
     rng = random.Random(3)
     team = [
-        vec(f"a{i}", **{f"t{rng.randint(0, 5)}": rng.uniform(0.1, 1), f"u{i % 3}": 0.5})
+        vec(**{f"t{rng.randint(0, 5)}": rng.uniform(0.1, 1), f"u{i % 3}": 0.5})
         for i in range(5)
     ]
     result = paper_diversity("p", team, threshold=0.3)
@@ -167,17 +165,17 @@ def test_pairwise_matches_nested_loop_oracle():
 
 
 def test_max_distance_cases():
-    identical = [vec(f"a{i}", ml=0.3) for i in range(4)]
+    identical = [vec(ml=0.3) for _ in range(4)]
     assert paper_diversity("p", identical, 0.3).max_distance == 0.0
-    loner = [vec("a", ml=0.5), vec("b", ml=0.5), vec("c", far=0.9)]
+    loner = [vec(ml=0.5), vec(ml=0.5), vec(far=0.9)]
     assert paper_diversity("p", loner, 0.3).max_distance == 1.0
 
 
 def test_max_distance_enumerates_pairs():
     # three vectors engineered to have pairwise distances 0.04, ~0.293, ~0.293
-    u = vec("a", t1=0.6, t2=0.8)
-    v = vec("b", t1=0.8, t2=0.6)
-    w = vec("c", t1=1.0)
+    u = vec(t1=0.6, t2=0.8)
+    v = vec(t1=0.8, t2=0.6)
+    w = vec(t1=1.0)
     dists = [pair_distance(u, v), pair_distance(u, w), pair_distance(v, w)]
     assert paper_diversity("p", [u, v, w], 0.3).max_distance == max(dists)
 
@@ -186,25 +184,25 @@ def test_max_distance_enumerates_pairs():
 
 
 def test_identical_team_complete_graph():
-    team = [vec(f"a{i}", ml=0.3) for i in range(4)]
+    team = [vec(ml=0.3) for _ in range(4)]
     assert paper_diversity("p", team, threshold=0.1).n_components == 1
 
 
 def test_disjoint_team_edgeless():
-    team = [vec(f"a{i}", **{f"t{i}": 1.0}) for i in range(5)]
+    team = [vec(**{f"t{i}": 1.0}) for i in range(5)]
     assert paper_diversity("p", team, threshold=0.3).n_components == 5
 
 
 def test_threshold_comparison_is_strict():
-    u = vec("a", t1=0.6, t2=0.8)
-    v = vec("b", t1=0.8, t2=0.6)
+    u = vec(t1=0.6, t2=0.8)
+    v = vec(t1=0.8, t2=0.6)
     d = pair_distance(u, v)
     assert paper_diversity("p", [u, v], threshold=d).n_components == 2
     assert paper_diversity("p", [u, v], threshold=d, inclusive=True).n_components == 1
 
 
 def test_empty_vector_member_is_isolated_vertex():
-    team = [vec("a", ml=0.5), vec("b", ml=0.5), ExpertiseVector("c", {})]
+    team = [vec(ml=0.5), vec(ml=0.5), ExpertiseVector({})]
     result = paper_diversity("p", team, threshold=1.0, inclusive=True)
     assert result.n_components == 2
     assert result.excluded_authors == 1
@@ -233,10 +231,10 @@ def test_components_match_reachability_oracle():
         n = rng.randint(1, 12)
         threshold = (trial % 11) / 10.0
         team = [
-            ExpertiseVector(f"v{i:02d}", {})
+            ExpertiseVector({})
             if rng.random() < 0.1
-            else vec(f"v{i:02d}", **{t: rng.uniform(0.01, 1) for t in rng.sample(topics, 3)})
-            for i in range(n)
+            else vec(**{t: rng.uniform(0.01, 1) for t in rng.sample(topics, 3)})
+            for _ in range(n)
         ]
         edges = [
             (i, j)
@@ -251,15 +249,15 @@ def test_components_match_reachability_oracle():
 
 
 def test_edgeless_graph_component_count():
-    team = [vec(f"v{i}", **{f"t{i}": 1.0}) for i in range(9)]
+    team = [vec(**{f"t{i}": 1.0}) for i in range(9)]
     assert paper_diversity("p", team, threshold=1.0).n_components == 9
 
 
 def test_three_group_seven_author_team():
     team = (
-        [vec(f"g1_{i}", ml=0.5) for i in range(3)]
-        + [vec(f"g2_{i}", hci=0.5) for i in range(2)]
-        + [vec(f"g3_{i}", db=0.5) for i in range(2)]
+        [vec(ml=0.5) for _ in range(3)]
+        + [vec(hci=0.5) for _ in range(2)]
+        + [vec(db=0.5) for _ in range(2)]
     )
     result = paper_diversity("p", team, threshold=0.3)
     assert result.n_components == 3
@@ -271,8 +269,8 @@ def test_single_component_when_all_pairs_below_threshold():
     for _ in range(100):
         n = rng.randint(2, 6)
         team = [
-            vec(f"a{i}", **{f"t{j}": rng.uniform(0.2, 1) for j in range(4)})
-            for i in range(n)
+            vec(**{f"t{j}": rng.uniform(0.2, 1) for j in range(4)})
+            for _ in range(n)
         ]
         threshold = paper_diversity("p", team, 0.0).max_distance + 0.05
         if threshold > 1:
@@ -284,8 +282,8 @@ def test_threshold_monotonicity_of_components():
     rng = random.Random(5)
     topics = [f"t{i}" for i in range(4)]
     team = [
-        vec(f"a{i}", **{t: rng.uniform(0.05, 1) for t in rng.sample(topics, rng.randint(1, 4))})
-        for i in range(8)
+        vec(**{t: rng.uniform(0.05, 1) for t in rng.sample(topics, rng.randint(1, 4))})
+        for _ in range(8)
     ]
     counts = [
         paper_diversity("p", team, threshold).n_components
@@ -323,8 +321,8 @@ def test_categorize_rejects_nonpositive():
 
 
 def test_paper_diversity_fields():
-    team = [vec("a", ml=0.5), vec("b", ml=0.5), vec("c", far=1.0),
-            ExpertiseVector("d", {})]
+    team = [vec(ml=0.5), vec(ml=0.5), vec(far=1.0),
+            ExpertiseVector({})]
     result = paper_diversity("p1", team, threshold=0.3)
     assert result.n_authors == 4
     assert result.pair_count == 3  # 3 usable members
@@ -335,7 +333,7 @@ def test_paper_diversity_fields():
 
 
 def test_paper_diversity_single_usable_member():
-    team = [vec("a", ml=0.5), ExpertiseVector("b", {})]
+    team = [vec(ml=0.5), ExpertiseVector({})]
     result = paper_diversity("p1", team, threshold=0.3)
     assert result.max_distance is None
     assert result.pair_count == 0
@@ -348,7 +346,7 @@ def test_zero_max_distance_single_component():
     for _ in range(50):
         n = rng.randint(2, 6)
         weights = {f"t{i}": rng.uniform(0.1, 1) for i in range(3)}
-        team = [vec(f"a{i}", **weights) for i in range(n)]
+        team = [vec(**weights) for _ in range(n)]
         result = paper_diversity(f"p", team, threshold=rng.uniform(0.01, 1.0))
         assert result.max_distance == 0.0
         assert result.n_components == 1
@@ -356,9 +354,9 @@ def test_zero_max_distance_single_component():
 
 def test_metrics_csv_round_trip(tmp_path):
     metrics = [
-        paper_diversity("p1", [vec("a", t1=0.6, t2=0.8), vec("b", t1=0.8, t2=0.6)], 0.3),
-        paper_diversity("p2", [vec("a", ml=0.5), vec("b", nlp=0.7)], 0.3),
-        paper_diversity("p3", [vec("a", ml=0.5), ExpertiseVector("b", {})], 0.3),
+        paper_diversity("p1", [vec(t1=0.6, t2=0.8), vec(t1=0.8, t2=0.6)], 0.3),
+        paper_diversity("p2", [vec(ml=0.5), vec(nlp=0.7)], 0.3),
+        paper_diversity("p3", [vec(ml=0.5), ExpertiseVector({})], 0.3),
     ]
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, metrics)

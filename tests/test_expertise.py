@@ -74,7 +74,7 @@ def test_background_share_example():
 def test_adjusted_weight_is_exact():
     author = TopicDistribution(counts={"ml": 7}, paper_count=10)
     background = TopicDistribution(counts={"ml": 30}, paper_count=100)
-    vec = expertise_vector(author, background, k=10, owner="a")
+    vec = expertise_vector(author, background, k=10)
     assert vec.entries["ml"] == 0.4
 
 
@@ -156,8 +156,8 @@ def test_vector_serialization_deterministic(small_corpus):
 
 def test_profile_dump_schema(tmp_path):
     profiles = {
-        ("a", 2013): ExpertiseVector(owner="a", entries={"ml": 0.4, "nlp": 0.1}),
-        ("b", 2014): ExpertiseVector(owner="b", entries={}),
+        ("a", 2013): ExpertiseVector(entries={"ml": 0.4, "nlp": 0.1}),
+        ("b", 2014): ExpertiseVector(entries={}),
     }
     path = tmp_path / "profiles.jsonl"
     write_profiles(path, profiles)

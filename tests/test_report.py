@@ -11,6 +11,7 @@ import pytest
 from teamdiv import report
 from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig, select_analysis_set
+from teamdiv.expertise import ExpertiseVector
 from teamdiv.report import (
     BucketStats,
     EmptyAnalysisSetError,
@@ -243,20 +244,20 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
     corpus = _multi_year_corpus()
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
-    real_build_profiles = report._build_profiles
-    finalizers = []
-    alive_at_each_call = []
+    real_profile_author = report.profile_author
+    built = []  # (year, finalizer) of every vector, in build order
+    stale = []  # years of other years' vectors still alive when a vector is built
 
-    class Tracked(dict):
-        pass
+    class Tracked(ExpertiseVector):
+        pass  # unlike its slotted base class, weakly referenceable
 
-    def spy(*args, **kwargs):
-        alive_at_each_call.append([f.alive for f in finalizers])
-        profiles = Tracked(real_build_profiles(*args, **kwargs))
-        finalizers.append(weakref.finalize(profiles, lambda: None))
-        return profiles
+    def spy(corpus, background, author, year, config):
+        stale.extend(y for y, alive in built if y != year and alive.alive)
+        vector = Tracked(real_profile_author(corpus, background, author, year, config).entries)
+        built.append((year, weakref.finalize(vector, lambda: None)))
+        return vector
 
-    monkeypatch.setattr(report, "_build_profiles", spy)
+    monkeypatch.setattr(report, "profile_author", spy)
     # as in analyze: with the collector off, only reference counting frees
     was_enabled = gc.isenabled()
     gc.collect()
@@ -268,9 +269,39 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
         if was_enabled:
             gc.enable()
     assert len(metrics) == 6
-    assert alive_at_each_call == [[], [False], [False, False]]
-    assert not any(f.alive for f in finalizers)
+    assert sorted({year for year, _ in built}) == [2012, 2013, 2014]
+    assert stale == []
+    assert not any(alive.alive for _, alive in built)
     assert cycles == 0
+
+
+def test_a_profiles_dict_receives_exactly_the_vectors_build_profiles_builds():
+    corpus = _multi_year_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    profiles = {}
+    metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
+    assert profiles == build_profiles(corpus, config, selected)
+    assert metrics == compute_paper_metrics(corpus, config, selected)
+
+
+def test_the_background_is_computed_once_and_only_when_a_vector_is_missing(monkeypatch):
+    corpus = _multi_year_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    complete = build_profiles(corpus, config, selected)
+    calls = []
+    real_background = report.background_distribution
+
+    def spy(corpus):
+        calls.append(corpus)
+        return real_background(corpus)
+
+    monkeypatch.setattr(report, "background_distribution", spy)
+    with_map = compute_paper_metrics(corpus, config, selected, profiles=dict(complete))
+    assert calls == []
+    assert with_map == compute_paper_metrics(corpus, config, selected)
+    assert calls == [corpus]
 
 
 def test_the_pipeline_never_builds_the_whole_corpus_id_map():

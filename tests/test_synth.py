@@ -12,6 +12,7 @@ from teamdiv.synth import (
     generate_corpus,
     write_params,
 )
+from tests.conftest import load_papers
 
 
 def test_fixed_seed_is_byte_identical(tmp_path):
@@ -26,12 +27,12 @@ def test_fixed_seed_is_byte_identical(tmp_path):
 def test_different_seeds_differ():
     a = generate_corpus(SynthParams(seed=1, n_papers=200, n_authors=150))
     b = generate_corpus(SynthParams(seed=2, n_papers=200, n_authors=150))
-    assert a.papers != b.papers
+    assert a != b
 
 
 def test_analysis_papers_satisfy_constraints_by_construction():
     params = SynthParams(seed=5, n_papers=400, n_authors=300)
-    corpus = generate_corpus(params)
+    corpus = load_papers(generate_corpus(params))
     selected = select_analysis_set(corpus, AnalysisConfig())
     analysis_ids = {p.id for p in corpus.papers if p.id.startswith("p")}
     assert selected == analysis_ids
@@ -42,8 +43,7 @@ def test_homogeneous_world_is_all_low():
     params = SynthParams(
         seed=9, n_papers=150, n_authors=100, n_expertise_clusters=1, cluster_mix=0.0
     )
-    corpus = generate_corpus(params)
-    report = run_analysis(corpus, AnalysisConfig())
+    report = run_analysis(load_papers(generate_corpus(params)), AnalysisConfig())
     for s in report.buckets:
         low, moderate, high, very_high = s.category_counts
         assert (moderate, high, very_high) == (0, 0, 0)
@@ -54,7 +54,7 @@ def test_cluster_usage_matches_uniform_model():
     # every generated record uses exactly one cluster topic core; usage
     # should be uniform across clusters by symmetry
     params = SynthParams(seed=31, n_papers=50_000, n_authors=8000, n_topics=200)
-    corpus = generate_corpus(params)
+    papers = generate_corpus(params)
     cores = {}
     n_clusters = params.n_expertise_clusters
     per_cluster = params.n_topics // n_clusters
@@ -65,7 +65,7 @@ def test_cluster_usage_matches_uniform_model():
         cores[topics] = c
     observed = [0] * n_clusters
     n_core_papers = 0
-    for paper in corpus.papers:
+    for paper in papers:
         cluster = cores.get(paper.topics)
         if cluster is None:
             continue  # filler records sit outside the cluster model
@@ -84,14 +84,12 @@ def test_team_sizes_respect_distribution_support():
         n_authors=400,
         team_size_distribution={2: 0.5, 5: 0.5},
     )
-    corpus = generate_corpus(params)
-    sizes = {len(p.authors) for p in corpus.papers if p.id.startswith("p")}
+    sizes = {len(p.authors) for p in generate_corpus(params) if p.id.startswith("p")}
     assert sizes <= {2, 5}
 
 
 def test_backfill_records_have_no_citations():
-    corpus = generate_corpus(SynthParams(seed=4, n_papers=100, n_authors=80))
-    for paper in corpus.papers:
+    for paper in generate_corpus(SynthParams(seed=4, n_papers=100, n_authors=80)):
         if paper.id.startswith("b"):
             assert paper.citations_5y is None
             assert len(paper.authors) == 1
@@ -129,7 +127,7 @@ def test_params_echo_includes_rng(tmp_path):
 
 def test_coupled_corpus_shows_positive_association():
     params = SynthParams(seed=11, n_papers=4000, n_authors=2000, coupling=0.8)
-    report = run_analysis(generate_corpus(params), AnalysisConfig())
+    report = run_analysis(load_papers(generate_corpus(params)), AnalysisConfig())
     corr = report.ratio_correlation
     assert corr is not None
     assert corr.r > 0.5
@@ -138,7 +136,7 @@ def test_coupled_corpus_shows_positive_association():
 
 def test_negative_coupling_reverses_association():
     params = SynthParams(seed=12, n_papers=4000, n_authors=2000, coupling=-0.8)
-    report = run_analysis(generate_corpus(params), AnalysisConfig())
+    report = run_analysis(load_papers(generate_corpus(params)), AnalysisConfig())
     corr = report.ratio_correlation
     assert corr is not None
     assert corr.r < 0
