@@ -27,6 +27,7 @@ from .reference import run_reference_checks
 from .report import (
     ALL_FORMATS,
     EmptyAnalysisSetError,
+    _corr_text,
     aggregate_report,
     compute_paper_metrics,
     render,
@@ -172,12 +173,7 @@ def _analyze(args: argparse.Namespace) -> int:
 
     nonempty = sum(1 for s in report.buckets if s.n_papers > 0)
     print(f"papers analysed: {report.n_selected} across {nonempty} buckets")
-    corr = report.ratio_correlation
-    if corr is None:
-        print("ratio vs median correlation: undefined")
-    else:
-        verdict = "significant" if corr.significant else "not significant"
-        print(f"ratio vs median correlation: r = {corr.r:.3f}, p = {corr.p_value:.3g} ({verdict})")
+    print(f"ratio vs median correlation: {_corr_text(report.ratio_correlation)}")
     significant_adjacent = sum(1 for t in report.adjacent_tests if t.result.significant)
     print(
         f"adjacent-bucket chi-square: {significant_adjacent}/{len(report.adjacent_tests)} "

@@ -32,7 +32,7 @@ import logging
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
@@ -192,16 +192,7 @@ class AnalysisConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "window_years": self.window_years,
-            "top_k": self.top_k,
-            "edge_threshold": self.edge_threshold,
-            "year_range": list(self.year_range),
-            "min_citations": self.min_citations,
-            "min_authors": self.min_authors,
-            "bucket_bounds": [list(b) for b in self.bucket_bounds],
-            "inclusive_threshold": self.inclusive_threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AnalysisConfig":

@@ -13,15 +13,11 @@ of 7/10 against a background of 3/10 comes out as exactly 0.4.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import AnalysisConfig, Corpus, PaperRecord, window_papers
-
-
-class EmptyDistributionError(ValueError):
-    """A topic distribution over zero papers is undefined."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,30 +43,18 @@ class ExpertiseVector:
         return not self.entries
 
 
-def _count_topics(papers: Iterable[PaperRecord]) -> tuple[dict[str, int], int]:
+def topic_distribution(papers: Sequence[PaperRecord]) -> TopicDistribution:
+    """How many of the given papers contain each topic; zero papers count nothing."""
     counts: dict[str, int] = {}
-    n = 0
     for paper in papers:
-        n += 1
         for topic in paper.topics:
             counts[topic] = counts.get(topic, 0) + 1
-    return counts, n
-
-
-def topic_distribution(papers: Sequence[PaperRecord]) -> TopicDistribution:
-    """Fraction of the given papers containing each topic."""
-    counts, n = _count_topics(papers)
-    if n == 0:
-        raise EmptyDistributionError("topic distribution over zero papers")
-    return TopicDistribution(counts=counts, paper_count=n)
+    return TopicDistribution(counts=counts, paper_count=len(papers))
 
 
 def background_distribution(corpus: Corpus) -> TopicDistribution:
     """Topic distribution over every paper in the corpus."""
-    counts, n = _count_topics(corpus.papers)
-    if n == 0:
-        raise EmptyDistributionError("background distribution over an empty corpus")
-    return TopicDistribution(counts=counts, paper_count=n)
+    return topic_distribution(corpus.papers)
 
 
 def expertise_vector(
@@ -82,7 +66,8 @@ def expertise_vector(
 
     Topics whose adjusted weight is zero or negative are dropped, even
     inside the top k; the result may therefore be empty. Ties are broken
-    by ascending topic id.
+    by ascending topic id. A distribution over zero papers, on either side,
+    leaves no positive weight, so the vector is empty and nothing is divided.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

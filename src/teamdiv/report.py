@@ -14,7 +14,6 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -230,7 +229,15 @@ def ratio_vs_median_correlation(stats: Sequence[BucketStats]) -> CorrelationResu
     ]
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 buckets with defined ratios, got {len(pairs)}")
-    return pearson([m for m, _ in pairs], [r for _, r in pairs])
+    return pearson(*zip(*pairs))
+
+
+def _severity_vs_median_correlation(stats: Sequence[BucketStats]) -> CorrelationResult:
+    """Pearson r of (citation median, (high + very_high)/low) pairs in bucket order."""
+    pairs = [(s.citation_median, s.severity_ratio) for s in stats if s.severity_ratio is not None]
+    if len(pairs) < 3:
+        raise ValueError("fewer than 3 buckets")
+    return pearson(*zip(*pairs))
 
 
 def category_delta_vs_baseline(
@@ -252,40 +259,54 @@ def category_delta_vs_baseline(
     return deltas
 
 
-def adjacent_and_pooled_tests(
+Comparison = tuple[str, Sequence[int], Sequence[int]]
+
+
+def homogeneity_comparisons(
     stats: Sequence[BucketStats],
-) -> tuple[list[LabeledTest], list[LabeledTest]]:
-    """Chi-square homogeneity over adjacent bucket pairs, and over two pooled splits."""
+) -> tuple[list[Comparison], list[Comparison]]:
+    """The (label, counts, counts) rows that the chi-square homogeneity tests
+    compare: adjacent nonempty buckets, and two pooled splits."""
     usable = [s for s in stats if s.n_papers > 0]
     if len(usable) < 2:
         raise ValueError("need at least 2 nonempty buckets")
     adjacent = [
-        LabeledTest(
-            label=f"{a.label} vs {b.label}",
-            result=chi_square_homogeneity(a.category_counts, b.category_counts),
-        )
+        (f"{a.label} vs {b.label}", a.category_counts, b.category_counts)
         for a, b in zip(usable, usable[1:])
     ]
-    pooled_rest = pool_counts([s.category_counts for s in usable[1:]])
+    first, second, *rest = usable
     pooled = [
-        LabeledTest(
-            label=f"{usable[0].label} vs pooled {usable[1].label}-{usable[-1].label}",
-            result=chi_square_homogeneity(usable[0].category_counts, pooled_rest),
+        (
+            f"{first.label} vs pooled {second.label}-{usable[-1].label}",
+            first.category_counts,
+            pool_counts([s.category_counts for s in usable[1:]]),
         )
     ]
-    if len(usable) >= 3:
-        pooled_head = pool_counts([s.category_counts for s in usable[:2]])
-        pooled_tail = pool_counts([s.category_counts for s in usable[2:]])
+    if rest:
         pooled.append(
-            LabeledTest(
-                label=(
-                    f"pooled {usable[0].label}-{usable[1].label} vs "
-                    f"pooled {usable[2].label}-{usable[-1].label}"
-                ),
-                result=chi_square_homogeneity(pooled_head, pooled_tail),
+            (
+                f"pooled {first.label}-{second.label} vs pooled {rest[0].label}-{rest[-1].label}",
+                pool_counts([first.category_counts, second.category_counts]),
+                pool_counts([s.category_counts for s in rest]),
             )
         )
     return adjacent, pooled
+
+
+def _bucket_stats(
+    bucket: CitationBucket, tally: Sequence[tuple[int, PaperDiversity]]
+) -> BucketStats:
+    """Aggregates of one bucket from its (citation count, metrics) pairs."""
+    distances = [m.max_distance for _, m in tally]
+    categories = Counter([m.category for _, m in tally])
+    return BucketStats(
+        bucket=bucket,
+        n_papers=len(tally),
+        citation_median=median([cited for cited, _ in tally]) if tally else None,
+        zeros=distances.count(0.0),
+        ones=distances.count(1.0),
+        category_counts=tuple(categories[c] for c in CATEGORIES),
+    )
 
 
 def aggregate_report(
@@ -296,102 +317,81 @@ def aggregate_report(
     """Reduce per-paper metrics into the full report.
 
     Deterministic given corpus and config; metrics may arrive in any order.
+    A statistic whose computation raises ValueError is left out (None, or
+    empty) with the warning "<name> unavailable: <reason>".
     """
     if not metrics:
         raise EmptyAnalysisSetError("no papers to aggregate")
-    warnings: list[str] = []
-    buckets = config.buckets
-    citations: dict[str, list[int]] = {b.label: [] for b in buckets}
-    distances: dict[str, list[float]] = {b.label: [] for b in buckets}
-    categories: dict[str, Counter] = {b.label: Counter() for b in buckets}
     wanted = {m.paper_id for m in metrics}
     records = {paper.id: paper for paper in corpus.papers if paper.id in wanted}
+    tallies: dict[CitationBucket, list[tuple[int, PaperDiversity]]] = {
+        b: [] for b in config.buckets
+    }
     for m in metrics:
         cited = records[m.paper_id].citations_5y
         if cited is None:
             raise ValueError(f"paper {m.paper_id!r} has no citation count")
-        for b in buckets:
-            if b.contains(cited):
+        for bucket, tally in tallies.items():
+            if bucket.contains(cited):
                 break
         else:
             raise ValueError(f"paper {m.paper_id!r} fits no citation bucket")
-        citations[b.label].append(cited)
-        categories[b.label][m.category] += 1
-        if m.max_distance is not None:
-            distances[b.label].append(m.max_distance)
-
-    bucket_stats: list[BucketStats] = []
-    for b in buckets:
-        cited = citations[b.label]
-        h = max_distance_histogram(distances[b.label])
-        if not cited:
-            warnings.append(f"bucket {b.label} is empty; derived statistics undefined")
-        bucket_stats.append(
-            BucketStats(
-                bucket=b,
-                n_papers=len(cited),
-                citation_median=median(cited) if cited else None,
-                zeros=h.zero_count,
-                ones=h.one_count,
-                category_counts=tuple(categories[b.label][c] for c in CATEGORIES),
-            )
-        )
-
-    for s in bucket_stats:
-        if s.n_papers > 0 and s.one_zero_ratio is None:
-            warnings.append(f"bucket {s.label} has no exact-0 papers; ratio undefined")
-
-    try:
-        ratio_corr = ratio_vs_median_correlation(bucket_stats)
-    except ValueError as exc:
-        warnings.append(f"ratio correlation unavailable: {exc}")
-        ratio_corr = None
-
+        tally.append((cited, m))
+    bucket_stats = [_bucket_stats(b, tally) for b, tally in tallies.items()]
+    # every paper landed in a bucket, so at least one is nonempty
     usable = [s for s in bucket_stats if s.n_papers > 0]
-    medians = [s.citation_median for s in usable]
-    category_correlations: dict[str, CorrelationResult | None] = {}
-    for i, category in enumerate(CATEGORIES):
-        shares = [s.category_percentages[i] for s in usable]
-        try:
-            category_correlations[category.value] = pearson(medians, shares)
-        except ValueError as exc:
-            warnings.append(f"{category.value} share correlation unavailable: {exc}")
-            category_correlations[category.value] = None
 
-    severity_pairs = [
-        (s.citation_median, s.severity_ratio)
-        for s in usable
-        if s.severity_ratio is not None
+    warnings = [
+        f"bucket {s.label} is empty; derived statistics undefined"
+        for s in bucket_stats
+        if s.n_papers == 0
     ]
-    severity_corr = None
-    if len(severity_pairs) >= 3:
+    warnings += [
+        f"bucket {s.label} has no exact-0 papers; ratio undefined"
+        for s in usable
+        if s.one_zero_ratio is None
+    ]
+
+    def attempt(name: str, compute: Callable, *args):
         try:
-            severity_corr = pearson(
-                [m for m, _ in severity_pairs], [r for _, r in severity_pairs]
-            )
+            return compute(*args)
         except ValueError as exc:
-            warnings.append(f"severity ratio correlation unavailable: {exc}")
-    else:
-        warnings.append("severity ratio correlation unavailable: fewer than 3 buckets")
+            warnings.append(f"{name} unavailable: {exc}")
+            return None
 
-    try:
-        adjacent, pooled = adjacent_and_pooled_tests(bucket_stats)
-    except ValueError as exc:
-        warnings.append(f"chi-square tests unavailable: {exc}")
-        adjacent, pooled = [], []
+    def tested(comparisons: list[Comparison]) -> list[LabeledTest]:
+        results = [
+            (label, attempt(f"chi-square {label}", chi_square_homogeneity, a, b))
+            for label, a, b in comparisons
+        ]
+        return [LabeledTest(label, result) for label, result in results if result is not None]
 
-    baseline = next((s.label for s in bucket_stats if s.n_papers > 0), buckets[0].label)
-    try:
-        deltas = category_delta_vs_baseline(bucket_stats, baseline)
-    except ValueError as exc:
-        warnings.append(f"category deltas unavailable: {exc}")
-        deltas = {}
+    ratio_corr = attempt("ratio correlation", ratio_vs_median_correlation, bucket_stats)
+    medians = [s.citation_median for s in usable]
+    category_correlations = {
+        category.value: attempt(
+            f"{category.value} share correlation",
+            pearson,
+            medians,
+            [s.category_percentages[i] for s in usable],
+        )
+        for i, category in enumerate(CATEGORIES)
+    }
+    severity_corr = attempt(
+        "severity ratio correlation", _severity_vs_median_correlation, bucket_stats
+    )
+    comparisons = attempt("chi-square tests", homogeneity_comparisons, bucket_stats) or ([], [])
+    adjacent, pooled = map(tested, comparisons)
+    baseline = usable[0].label
+    deltas = attempt("category deltas", category_delta_vs_baseline, bucket_stats, baseline) or {}
 
     return AnalysisReport(
         config=config,
         n_selected=len(metrics),
         buckets=bucket_stats,
-        histogram=max_distance_histogram(chain.from_iterable(distances.values())),
+        histogram=max_distance_histogram(
+            m.max_distance for m in metrics if m.max_distance is not None
+        ),
         ratio_correlation=ratio_corr,
         category_correlations=category_correlations,
         severity_correlation=severity_corr,
@@ -586,7 +586,6 @@ def _render_figures(report: AnalysisReport, figures_dir: Path) -> list[Path]:
             "#1/#0 ratio vs citation median",
             "citation median (log scale)",
             "#1/#0 ratio",
-            log_x=True,
         ),
         encoding="utf-8",
     )

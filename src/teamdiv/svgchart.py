@@ -90,13 +90,12 @@ def scatter_line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    log_x: bool = False,
 ) -> str:
-    """Points joined by a line; one circle element per data point."""
+    """Points joined by a line over a log10 x axis; one circle element per data point."""
     parts = _header(title) + _axes(x_label, y_label)
     px, py, pw, ph = _plot_area()
     if xs:
-        tx = [math.log10(x) for x in xs] if log_x else list(xs)
+        tx = [math.log10(x) for x in xs]
         x_lo, x_hi = min(tx), max(tx)
         y_lo, y_hi = min(ys), max(ys)
         x_span = (x_hi - x_lo) or 1.0

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 import teamdiv
 import teamdiv.cli as cli
 from teamdiv.cli import main
-from teamdiv.corpus import AnalysisConfig, load_corpus, select_analysis_set
+from teamdiv.corpus import AnalysisConfig, load_corpus, select_analysis_set, write_corpus_jsonl
 from teamdiv.expertise import write_profiles
 from teamdiv.report import build_profiles
-from teamdiv.synth import SynthParams
+from teamdiv.synth import SynthParams, generate_corpus
 from tests.conftest import record
 
 
@@ -275,6 +275,27 @@ def test_validate_and_analyze_never_import_numpy(valid_corpus_path, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_analyze_writes_the_same_bytes_under_any_hash_seed(tmp_path):
+    # str hashes, and so set and dict-of-set orders, differ between processes
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(generate_corpus(SynthParams(seed=5, n_papers=400, n_authors=300)), corpus_path)
+    src = str(Path(teamdiv.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("0", "1"):
+        run = tmp_path / f"hash-seed-{hash_seed}"
+        result = subprocess.run(
+            [sys.executable, "-m", "teamdiv.cli", "analyze", str(corpus_path),
+             "--output", str(run / "out"), "--dump-metrics", str(run / "metrics.csv"),
+             "--dump-profiles", str(run / "profiles.jsonl")],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+        )
+        files = {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        runs.append((result.stdout.replace(str(run), "RUN"), files))
+    assert len(runs[0][1]) == 10  # 3 tables, 3 figures, report.md, config.json, 2 dumps
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(

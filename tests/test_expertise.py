@@ -1,10 +1,7 @@
 import json
 
-import pytest
-
 from teamdiv.corpus import AnalysisConfig
 from teamdiv.expertise import (
-    EmptyDistributionError,
     ExpertiseVector,
     TopicDistribution,
     background_distribution,
@@ -42,9 +39,12 @@ def test_absent_topic_not_in_map():
     assert "y" not in dist.counts
 
 
-def test_empty_distribution_raises():
-    with pytest.raises(EmptyDistributionError):
-        topic_distribution([])
+def test_zero_papers_give_an_empty_distribution_and_vector():
+    empty = topic_distribution([])
+    assert empty == TopicDistribution({}, 0)
+    some = topic_distribution(papers_with_topics([["x", "y"], ["x"]]))
+    assert expertise_vector(empty, some, 3).is_empty
+    assert expertise_vector(some, empty, 3).is_empty
 
 
 def test_background_matches_brute_force_count():

@@ -3,29 +3,35 @@ import gc
 import json
 import math
 import random
+import statistics
 import weakref
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
+from scipy.stats import chi2_contingency, pearsonr
 
 from teamdiv import report
 from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig, select_analysis_set
+from teamdiv.diversity import DiversityCategory, PaperDiversity
 from teamdiv.expertise import ExpertiseVector
 from teamdiv.report import (
     BucketStats,
     EmptyAnalysisSetError,
-    adjacent_and_pooled_tests,
     aggregate_report,
     build_profiles,
     category_delta_vs_baseline,
     compute_paper_metrics,
+    homogeneity_comparisons,
     max_distance_histogram,
     ratio_vs_median_correlation,
     render,
     run_analysis,
 )
-from tests.conftest import load_records, record
+from teamdiv.stats import chi_square_homogeneity
+from teamdiv.synth import SynthParams, generate_corpus
+from tests.conftest import load_papers, load_records, record
 
 
 def _stats(label, lo, hi, n, median_, zeros, ones, cats):
@@ -432,11 +438,38 @@ def test_identical_buckets_give_p_one():
         _stats(label, 2, 5, 100, float(m), 10, 10, cats)
         for label, m in zip("ABCD", [3, 6, 12, 17])
     ]
-    adjacent, pooled = adjacent_and_pooled_tests(stats)
-    assert len(adjacent) == 3
-    assert len(pooled) == 2
-    for t in adjacent + pooled:
-        assert t.result.p_value == pytest.approx(1.0, abs=1e-12)
+    adjacent, pooled = homogeneity_comparisons(stats)
+    assert [label for label, _, _ in adjacent] == ["A vs B", "B vs C", "C vs D"]
+    assert [label for label, _, _ in pooled] == ["A vs pooled B-D", "pooled A-B vs pooled C-D"]
+    for _, a, b in adjacent + pooled:
+        assert chi_square_homogeneity(a, b).p_value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_one_incomputable_comparison_drops_only_itself():
+    # F and G hold only low-diversity papers, so "F vs G" has one category
+    # with observations; every other comparison can still be computed.
+    medians = [3, 6, 12, 17, 24, 34, 44, 64, 118, 226]
+    mixed = [DiversityCategory.LOW, DiversityCategory.MODERATE, DiversityCategory.HIGH]
+    records, metrics = [], []
+    for label, cited in zip("ABCDEFGHIJ", medians):
+        for j in range(3):
+            pid = f"{label}{j}"
+            records.append(record(pid, 2013, ["a", "b"], ["x"], citations=cited))
+            category = DiversityCategory.LOW if label in "FG" else mixed[j]
+            metrics.append(PaperDiversity(pid, 2, 1, 0.5, 2, category, 0))
+    corpus = load_records(records)
+    result = aggregate_report(corpus, AnalysisConfig(), metrics)
+    assert len(result.adjacent_tests) == 8
+    assert "F vs G" not in [t.label for t in result.adjacent_tests]
+    assert len(result.pooled_tests) == 2
+    assert [w for w in result.warnings if "chi-square" in w] == [
+        "chi-square F vs G unavailable: need at least 2 categories with observations"
+    ]
+    one_bucket = aggregate_report(corpus, AnalysisConfig(bucket_bounds=((2, None),)), metrics)
+    assert one_bucket.adjacent_tests == one_bucket.pooled_tests == []
+    assert [w for w in one_bucket.warnings if "chi-square" in w] == [
+        "chi-square tests unavailable: need at least 2 nonempty buckets"
+    ]
 
 
 # --- rendering ---
@@ -535,3 +568,160 @@ def aggregate_fake_report(stats):
         category_deltas=category_delta_vs_baseline(stats, "A"),
         warnings=[],
     )
+
+
+# --- bucket-level oracle: statistics, collections and scipy only ---
+
+_CATEGORY_NAMES = ("low", "moderate", "high", "very_high")
+
+
+def _oracle_pearson(pairs):
+    """(r, p) of the pairs, or None where Pearson r is undefined."""
+    if len(pairs) < 3:
+        return None
+    x, y = zip(*pairs)
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        return None
+    result = pearsonr(x, y)
+    return result.statistic, result.pvalue
+
+
+def _oracle_chi_square(counts_a, counts_b):
+    """(statistic, df, p) of a 2-row homogeneity test over the observed columns."""
+    columns = [(a, b) for a, b in zip(counts_a, counts_b) if a + b > 0]
+    if len(columns) < 2:
+        return None
+    result = chi2_contingency([list(row) for row in zip(*columns)], correction=False)
+    return result.statistic, result.dof, result.pvalue
+
+
+def _oracle_aggregate(citations, config, metrics):
+    """Every bucket-level number of the report, from the metrics and citation counts."""
+    labels = [b.label for b in config.buckets]
+    by_label = defaultdict(list)
+    for m in metrics:
+        cited = citations[m.paper_id]
+        label = next(
+            label
+            for label, (lo, hi) in zip(labels, config.bucket_bounds)
+            if lo <= cited and (hi is None or cited < hi)
+        )
+        by_label[label].append((cited, m))
+    buckets = {}
+    for label in labels:
+        papers = by_label[label]
+        categories = Counter(m.category.value for _, m in papers)
+        buckets[label] = {
+            "n": len(papers),
+            "median": statistics.median(c for c, _ in papers) if papers else None,
+            "zeros": sum(1 for _, m in papers if m.max_distance == 0.0),
+            "ones": sum(1 for _, m in papers if m.max_distance == 1.0),
+            "categories": tuple(categories[c] for c in _CATEGORY_NAMES),
+        }
+    usable = [label for label in labels if buckets[label]["n"]]
+    share = {
+        label: [100.0 * c / buckets[label]["n"] for c in buckets[label]["categories"]]
+        for label in usable
+    }
+    ratio = _oracle_pearson([
+        (buckets[l]["median"], buckets[l]["ones"] / buckets[l]["zeros"])
+        for l in usable
+        if buckets[l]["zeros"]
+    ])
+    category_correlations = {
+        name: _oracle_pearson([(buckets[l]["median"], share[l][i]) for l in usable])
+        for i, name in enumerate(_CATEGORY_NAMES)
+    }
+    severity = _oracle_pearson([
+        (buckets[l]["median"], (buckets[l]["categories"][2] + buckets[l]["categories"][3])
+         / buckets[l]["categories"][0])
+        for l in usable
+        if buckets[l]["categories"][0]
+    ])
+    rows = {l: buckets[l]["categories"] for l in usable}
+
+    def pooled(members):
+        return [sum(col) for col in zip(*(rows[l] for l in members))]
+
+    comparisons = [(f"{a} vs {b}", rows[a], rows[b]) for a, b in zip(usable, usable[1:])]
+    comparisons.append(
+        (f"{usable[0]} vs pooled {usable[1]}-{usable[-1]}", rows[usable[0]], pooled(usable[1:]))
+    )
+    if len(usable) >= 3:
+        comparisons.append((
+            f"pooled {usable[0]}-{usable[1]} vs pooled {usable[2]}-{usable[-1]}",
+            pooled(usable[:2]),
+            pooled(usable[2:]),
+        ))
+    chi_square = {label: _oracle_chi_square(a, b) for label, a, b in comparisons}
+    deltas = {
+        l: [p - b for p, b in zip(share[l], share[usable[0]])] for l in usable
+    }
+    distances = [m.max_distance for m in metrics if m.max_distance is not None]
+    histogram = (
+        distances.count(0.0),
+        distances.count(1.0),
+        sum(1 for d in distances if 0.0 < d < 1.0),
+    )
+    return buckets, ratio, category_correlations, severity, chi_square, deltas, histogram
+
+
+def _synth_corpus():
+    return load_papers(generate_corpus(SynthParams(seed=5, n_papers=400, n_authors=300)))
+
+
+def _overlap_corpus():
+    return load_records(_overlap_records())
+
+
+def _close(a, b):
+    return pytest.approx(b, rel=1e-9, abs=1e-12) == a
+
+
+@pytest.mark.parametrize("build", [_synth_corpus, _overlap_corpus], ids=["synth", "overlap"])
+def test_aggregate_report_matches_an_independent_bucket_oracle(build):
+    corpus = build()
+    config = AnalysisConfig()
+    metrics = compute_paper_metrics(corpus, config, select_analysis_set(corpus, config))
+    citations = {paper.id: paper.citations_5y for paper in corpus.papers}
+    buckets, ratio, category_corrs, severity, chi_square, deltas, histogram = _oracle_aggregate(
+        citations, config, metrics
+    )
+    assert sum(1 for b in buckets.values() if b["n"]) >= 3
+    result = aggregate_report(corpus, config, metrics)
+
+    assert {
+        s.label: {
+            "n": s.n_papers,
+            "median": s.citation_median,
+            "zeros": s.zeros,
+            "ones": s.ones,
+            "categories": s.category_counts,
+        }
+        for s in result.buckets
+    } == buckets
+    h = result.histogram
+    assert (h.zero_count, h.one_count, sum(h.bin_counts)) == histogram
+
+    def same_correlation(got, expected):
+        if expected is None:
+            return got is None
+        return got is not None and _close(got.r, expected[0]) and _close(got.p_value, expected[1])
+
+    assert same_correlation(result.ratio_correlation, ratio)
+    assert result.category_correlations.keys() == category_corrs.keys()
+    for name, expected in category_corrs.items():
+        assert same_correlation(result.category_correlations[name], expected), name
+    assert same_correlation(result.severity_correlation, severity)
+    assert sum(1 for c in [ratio, severity, *category_corrs.values()] if c is not None) >= 3
+
+    tests = {t.label: t.result for t in result.adjacent_tests + result.pooled_tests}
+    assert tests.keys() == {label for label, c in chi_square.items() if c is not None}
+    for label, (statistic, df, p) in ((l, c) for l, c in chi_square.items() if c is not None):
+        assert tests[label].df == df, label
+        assert _close(tests[label].statistic, statistic), label
+        assert _close(tests[label].p_value, p), label
+
+    assert result.category_deltas.keys() == deltas.keys()
+    for label, expected in deltas.items():
+        assert all(map(_close, result.category_deltas[label], expected)), label
