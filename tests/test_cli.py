@@ -280,7 +280,8 @@ def test_validate_and_analyze_never_import_numpy(valid_corpus_path, tmp_path):
 def test_analyze_writes_the_same_bytes_under_any_hash_seed(tmp_path):
     # str hashes, and so set and dict-of-set orders, differ between processes
     corpus_path = tmp_path / "corpus.jsonl"
-    write_corpus_jsonl(generate_corpus(SynthParams(seed=5, n_papers=400, n_authors=300)), corpus_path)
+    papers = generate_corpus(SynthParams(seed=5, n_papers=400, n_authors=300))
+    write_corpus_jsonl(papers, corpus_path)
     src = str(Path(teamdiv.__file__).resolve().parents[1])
     runs = []
     for hash_seed in ("0", "1"):
