@@ -19,11 +19,13 @@ line that call rejects, to word its error.
 ``validate_jsonl`` keeps only the errors and builds nothing; ``load_corpus``
 builds a ``PaperRecord`` from each kept object, sharing one object per
 distinct author, topic, topic set and year within the load, and is the only
-code that builds a ``Corpus``.
+code that builds a ``Corpus``. A topic set is held as a tuple of its distinct
+topics in ascending order: nothing tests topic membership, and a tuple of a
+few strings takes a fraction of a frozenset's memory.
 
-The author index maps each author to their own ``PaperRecord`` objects,
-sorted by (year, id); a window of years is a slice of that list found by
-bisection.
+The author index maps each author to a tuple of their own ``PaperRecord``
+objects, sorted by (year, id); a window of years is a slice of that tuple
+found by bisection.
 """
 from __future__ import annotations
 
@@ -71,10 +73,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class PaperRecord:
+    """One publication; ``topics`` holds its distinct topics in ascending order."""
+
     id: str
     year: int
     authors: tuple[str, ...]
-    topics: frozenset[str]
+    topics: tuple[str, ...]
     citations_5y: int | None = None
 
 
@@ -217,9 +221,9 @@ class AnalysisConfig:
 class Corpus:
     """Immutable snapshot of parsed publication records.
 
-    ``author_index`` maps each author to the records naming them, the same
-    objects as in ``papers``, sorted by (year, id); it is exactly the inverse
-    of the authorship relation.
+    ``author_index`` maps each author to a tuple of the records naming them,
+    the same objects as in ``papers``, sorted by (year, id); it is exactly the
+    inverse of the authorship relation.
 
     ``by_id`` maps each id to its record, the same object as in ``papers``.
     It is built on first read, and the analysis pipeline never reads it: a
@@ -228,7 +232,7 @@ class Corpus:
     """
 
     papers: tuple[PaperRecord, ...]
-    author_index: dict[str, list[PaperRecord]] = field(repr=False)
+    author_index: dict[str, tuple[PaperRecord, ...]] = field(repr=False)
     skipped: int = 0
 
     def __len__(self) -> int:
@@ -380,7 +384,10 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
     # One object per distinct author, topic, topic set and year, shared by
     # every record that repeats it: a corpus repeats a few hundred topics and
     # years across all its records, and most authors across several records.
-    # A set seen before needs no per-topic lookup.
+    # A topic list is looked up as written, before any sort: a list seen
+    # before costs one lookup, and every spelling of one set (any order, any
+    # repeats) maps to the set's one sorted tuple. A list written sorted and
+    # without repeats is its own key, so most sets add no key of their own.
     shared: dict = {}
     share = shared.setdefault
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -391,10 +398,10 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
                 skipped += 1
                 log.warning("skipping invalid record: %s", item)
                 continue
-            topics = frozenset(item["topics"])
+            topics = tuple(item["topics"])
             if (kept := shared.get(topics)) is None:
-                kept = frozenset(map(share, topics, topics))
-                shared[kept] = kept
+                kept = tuple(sorted(set(map(share, topics, topics))))
+                kept = shared[topics] = share(kept, kept)
             year = item["year"]
             authors = item["authors"]
             papers.append(
@@ -403,12 +410,15 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
                     item.get("citations_5y"),
                 )
             )
-    author_index: dict[str, list[PaperRecord]] = {}
+    author_index: dict = {}
     for paper in papers:
         for author in paper.authors:
             author_index.setdefault(author, []).append(paper)
-    for entries in author_index.values():
+    # Each list is replaced by its tuple as soon as it is sorted, so the lists
+    # and the tuples of the whole index never coexist.
+    for author, entries in author_index.items():
         entries.sort(key=_year_and_id)
+        author_index[author] = tuple(entries)
     return Corpus(tuple(papers), author_index, skipped)
 
 
@@ -440,12 +450,12 @@ def _window_bounds(
 
 def window_papers(
     corpus: Corpus, author: str, year: int, window_years: int
-) -> list[PaperRecord]:
+) -> tuple[PaperRecord, ...]:
     """Records the author published in [year - window_years, year - 1].
 
-    Unknown authors yield an empty list. Results are sorted by (year, id).
+    Unknown authors yield an empty tuple. Results are sorted by (year, id).
     """
-    entries = corpus.author_index.get(author, [])
+    entries = corpus.author_index.get(author, ())
     lo, hi = _window_bounds(entries, year, window_years)
     return entries[lo:hi]
 

@@ -136,10 +136,14 @@ def write_params(params: SynthParams, path: str | Path) -> None:
 
 
 def _cluster_cores(params: SynthParams) -> list[tuple[str, ...]]:
+    """Each cluster's topics in ascending order, as a loaded record holds them.
+
+    Ids past t9999 do not sort by number, so each core is sorted as a string.
+    """
     topics = [f"t{i:04d}" for i in range(params.n_topics)]
     c = params.n_expertise_clusters
     bounds = np.linspace(0, params.n_topics, c + 1).astype(int)
-    return [tuple(topics[bounds[i] : bounds[i + 1]]) for i in range(c)]
+    return [tuple(sorted(topics[bounds[i] : bounds[i + 1]])) for i in range(c)]
 
 
 def _cluster_count_cdf(m_max: int) -> list[float]:
@@ -197,7 +201,7 @@ def generate_corpus(params: SynthParams) -> list[PaperRecord]:
             id=f"f{i:05d}",
             year=int(filler_years[i]),
             authors=("filler",),
-            topics=frozenset([filler_topic]),
+            topics=(filler_topic,),
         )
         for i in range(n_filler)
     ]
@@ -221,7 +225,7 @@ def generate_corpus(params: SynthParams) -> list[PaperRecord]:
                 id=f"b{len(backfill_records):07d}",
                 year=year,
                 authors=(authors[author_idx],),
-                topics=frozenset(cores[c]),
+                topics=cores[c],
             )
         )
         backfill_years[author_idx].append(year)
@@ -280,7 +284,7 @@ def generate_corpus(params: SynthParams) -> list[PaperRecord]:
             id=f"p{i:06d}",
             year=int(years[i]),
             authors=tuple(authors[a] for a in teams[i]),
-            topics=frozenset(cores[primary_clusters[i]]),
+            topics=cores[primary_clusters[i]],
             citations_5y=int(citations[i]),
         )
         for i in range(params.n_papers)

@@ -105,7 +105,7 @@ def test_author_index_matches_rebuild(small_corpus):
     papers = small_corpus.papers
     authors = {a for p in papers for a in p.authors}
     inverse = {
-        a: sorted((p for p in papers if a in p.authors), key=lambda p: (p.year, p.id))
+        a: tuple(sorted((p for p in papers if a in p.authors), key=lambda p: (p.year, p.id)))
         for a in authors
     }
     assert small_corpus.author_index == inverse
@@ -308,6 +308,18 @@ def test_repeated_topics_topic_sets_and_years_are_one_object(via):
     assert p1.year is p2.year and p3.year is p4.year
 
 
+def test_every_spelling_of_a_topic_set_is_one_sorted_tuple():
+    # the unsorted spelling with a repeat comes first, so it builds the tuple
+    records = [
+        record("p1", 2010, ["x"], ["b", "a", "a"]),
+        record("p2", 2011, ["y"], ["a", "b"]),
+        record("p3", 2012, ["z"], ["b", "a"]),
+    ]
+    p1, p2, p3 = load_records(records).papers
+    assert p1.topics == ("a", "b")
+    assert p1.topics is p2.topics is p3.topics
+
+
 @pytest.mark.parametrize("via", ["load_corpus"])
 def test_repeated_authors_are_one_object(via):
     # Names longer than one character: CPython caches one-character strings.
@@ -346,7 +358,7 @@ def test_author_index_holds_the_corpus_records_by_year_then_id(via):
     assert [p.id for p in corpus.author_index["bob"]] == ["q", "t1", "p"]
     for papers in corpus.author_index.values():
         assert all(p is corpus.by_id[p.id] for p in papers)
-        assert papers == sorted(papers, key=lambda p: (p.year, p.id))
+        assert papers == tuple(sorted(papers, key=lambda p: (p.year, p.id)))
 
 
 def test_windows_and_selection_over_a_same_year_tie():
@@ -403,8 +415,9 @@ _records = st.lists(
 def test_parse_builds_what_the_records_say(records):
     records = [{"id": f"p{i}", **r} for i, r in enumerate(records)]
     papers = load_records(records).papers
+    assert [p.topics for p in papers] == [tuple(sorted(set(r["topics"]))) for r in records]
     assert list(papers) == [
-        PaperRecord(r["id"], r["year"], tuple(r["authors"]), frozenset(r["topics"]),
+        PaperRecord(r["id"], r["year"], tuple(r["authors"]), tuple(sorted(set(r["topics"]))),
                     r["citations_5y"])
         for r in records
     ]

@@ -59,7 +59,7 @@ def test_cluster_usage_matches_uniform_model():
     n_clusters = params.n_expertise_clusters
     per_cluster = params.n_topics // n_clusters
     for c in range(n_clusters):
-        topics = frozenset(
+        topics = tuple(
             f"t{i:04d}" for i in range(c * per_cluster, (c + 1) * per_cluster)
         )
         cores[topics] = c
