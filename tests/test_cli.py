@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,48 @@ def test_analyze_reruns_byte_identical(tmp_path):
     assert main(["analyze", corpus, "--output", str(dir_a)]) == 0
     assert main(["analyze", corpus, "--output", str(dir_b)]) == 0
     assert snapshot(dir_a) == snapshot(dir_b)
+
+
+def _permute_authors(records, rng):
+    return [{**r, "authors": rng.sample(r["authors"], len(r["authors"]))} for r in records]
+
+
+def _permute_and_repeat_topics(records, rng):
+    changed = []
+    for r in records:
+        topics = r["topics"] + rng.choices(r["topics"], k=rng.randint(1, 3))
+        rng.shuffle(topics)
+        changed.append({**r, "topics": topics})
+    return changed
+
+
+# Rewrites of a corpus that leave every record's meaning as it was.
+_SAME_CORPUS = {
+    "shuffled-records": lambda records, rng: rng.sample(records, len(records)),
+    "permuted-authors": _permute_authors,
+    "permuted-and-repeated-topics": _permute_and_repeat_topics,
+}
+
+
+@pytest.mark.parametrize("rewrite", list(_SAME_CORPUS))
+def test_analyze_output_ignores_record_author_and_topic_order(tmp_path, capsys, rewrite):
+    # Two topics per cluster and a mixed backfill give interior max distances
+    # as well as exact 0 and 1, so author order reaches the pairwise distances.
+    params = SynthParams(seed=6, n_papers=300, n_authors=300, n_topics=60, cluster_mix=0.5)
+    write_corpus_jsonl(generate_corpus(params), tmp_path / "corpus.jsonl")
+    records = [json.loads(line) for line in (tmp_path / "corpus.jsonl").read_text().splitlines()]
+    changed = _SAME_CORPUS[rewrite](records, random.Random(rewrite))
+    assert changed != records
+    write_jsonl(tmp_path / "changed.jsonl", changed)
+    outputs = []
+    for name in ("corpus", "changed"):
+        run = tmp_path / f"run-{name}"
+        assert main(["analyze", str(tmp_path / f"{name}.jsonl"), "--output", str(run / "out"),
+                     "--dump-metrics", str(run / "metrics.csv"),
+                     "--dump-profiles", str(run / "profiles.jsonl")]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(run), "RUN"), snapshot(run)))
+    assert len(outputs[0][1]) == 10  # 3 tables, 3 figures, report.md, config.json, 2 dumps
+    assert outputs[0] == outputs[1]
 
 
 def test_jobs_flag_never_changes_output(tmp_path):
