@@ -384,10 +384,9 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
     # One object per distinct author, topic, topic set and year, shared by
     # every record that repeats it: a corpus repeats a few hundred topics and
     # years across all its records, and most authors across several records.
-    # A topic list is looked up as written, before any sort: a list seen
-    # before costs one lookup, and every spelling of one set (any order, any
-    # repeats) maps to the set's one sorted tuple. A list written sorted and
-    # without repeats is its own key, so most sets add no key of their own.
+    # Each topic set is keyed only by its sorted tuple of distinct topics. A
+    # list written that way finds its tuple in one lookup; any other spelling
+    # misses, is sorted and de-duplicated, and finds or adds that tuple.
     shared: dict = {}
     share = shared.setdefault
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -401,7 +400,7 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
             topics = tuple(item["topics"])
             if (kept := shared.get(topics)) is None:
                 kept = tuple(sorted(set(map(share, topics, topics))))
-                kept = shared[topics] = share(kept, kept)
+                kept = share(kept, kept)
             year = item["year"]
             authors = item["authors"]
             papers.append(
@@ -432,7 +431,7 @@ def write_corpus_jsonl(papers: Iterable[PaperRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for paper in papers:
             data = {"id": paper.id, "year": paper.year, "authors": list(paper.authors),
-                    "topics": sorted(paper.topics)}
+                    "topics": list(paper.topics)}
             if paper.citations_5y is not None:
                 data["citations_5y"] = paper.citations_5y
             handle.write(json.dumps(data, sort_keys=True) + "\n")
