@@ -17,21 +17,13 @@ from .corpus import (
     ConfigError,
     CorpusValidationError,
     load_corpus,
-    select_analysis_set,
     validate_jsonl,
     write_corpus_jsonl,
 )
 from .diversity import write_metrics_csv
 from .expertise import write_profiles
 from .reference import run_reference_checks
-from .report import (
-    ALL_FORMATS,
-    EmptyAnalysisSetError,
-    _corr_text,
-    aggregate_report,
-    compute_paper_metrics,
-    render,
-)
+from .report import ALL_FORMATS, EmptyAnalysisSetError, _corr_text, render, run_analysis
 
 OUTPUT_ENV_VAR = "TEAMDIV_OUTPUT"
 
@@ -150,15 +142,11 @@ def _analyze(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     print(f"records skipped: {corpus.skipped}")
 
-    selected = select_analysis_set(corpus, config)
-    if not selected:
-        print("error: no papers satisfy the selection constraints", file=sys.stderr)
-        return EXIT_FAILURE
     # The profile dump is sorted by (author, year), so scoring keeps every
     # vector it builds in this dict; without it, each year's are dropped once scored.
+    # An empty selection raises EmptyAnalysisSetError, which main reports.
     profiles = {} if args.dump_profiles else None
-    metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
-    report = aggregate_report(corpus, config, metrics)
+    report = run_analysis(corpus, config, profiles=profiles)
 
     out_dir = Path(args.output or _default_output())
     try:
@@ -166,13 +154,13 @@ def _analyze(args: argparse.Namespace) -> int:
         if args.dump_profiles:
             write_profiles(args.dump_profiles, profiles)
         if args.dump_metrics:
-            write_metrics_csv(args.dump_metrics, metrics)
+            write_metrics_csv(args.dump_metrics, report.metrics)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
     nonempty = sum(1 for s in report.buckets if s.n_papers > 0)
-    print(f"papers analysed: {report.n_selected} across {nonempty} buckets")
+    print(f"papers analysed: {len(report.metrics)} across {nonempty} buckets")
     print(f"ratio vs median correlation: {_corr_text(report.ratio_correlation)}")
     significant_adjacent = sum(1 for t in report.adjacent_tests if t.result.significant)
     print(

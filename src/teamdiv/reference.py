@@ -11,9 +11,10 @@ command.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .corpus import AnalysisConfig
-from .report import BucketStats, category_delta_vs_baseline, ratio_vs_median_correlation
+from .report import BucketStats, category_delta_vs_baseline, median_correlation
 from .stats import chi_square_homogeneity, pool_counts
 
 BUCKET_LABELS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
@@ -110,7 +111,7 @@ def run_reference_checks() -> list[CheckResult]:
     )
 
     # 2. headline correlation of ratio against citation median
-    corr = ratio_vs_median_correlation(reference_bucket_stats())
+    corr = median_correlation(reference_bucket_stats(), attrgetter("one_zero_ratio"))
     r_ok = abs(corr.r - HEADLINE_R) <= HEADLINE_R_TOLERANCE
     p_ok = corr.p_value < 1e-4
     checks.append(

@@ -102,8 +102,10 @@ class LabeledTest:
 
 @dataclass
 class AnalysisReport:
+    """The aggregated analysis; ``metrics`` holds its papers' metrics, ordered by paper id."""
+
     config: AnalysisConfig
-    n_selected: int
+    metrics: list[PaperDiversity]
     buckets: list[BucketStats]
     histogram: Histogram
     ratio_correlation: CorrelationResult | None
@@ -220,24 +222,13 @@ def max_distance_histogram(distances: Iterable[float]) -> Histogram:
     return Histogram(zero_count=zero_count, one_count=one_count, bin_counts=tuple(counts))
 
 
-def ratio_vs_median_correlation(stats: Sequence[BucketStats]) -> CorrelationResult:
-    """Pearson r of (citation median, #1/#0 ratio) pairs in bucket order."""
-    pairs = [
-        (s.citation_median, s.one_zero_ratio)
-        for s in stats
-        if s.citation_median is not None and s.one_zero_ratio is not None
-    ]
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 buckets with defined ratios, got {len(pairs)}")
-    return pearson(*zip(*pairs))
-
-
-def _severity_vs_median_correlation(stats: Sequence[BucketStats]) -> CorrelationResult:
-    """Pearson r of (citation median, (high + very_high)/low) pairs in bucket order."""
-    pairs = [(s.citation_median, s.severity_ratio) for s in stats if s.severity_ratio is not None]
-    if len(pairs) < 3:
-        raise ValueError("fewer than 3 buckets")
-    return pearson(*zip(*pairs))
+def median_correlation(
+    stats: Sequence[BucketStats], value: Callable[[BucketStats], float | None]
+) -> CorrelationResult:
+    """Pearson r of (citation median, value) over the buckets where the value
+    is defined, in bucket order; ``pearson`` rejects fewer than 3 such buckets."""
+    pairs = [(s.citation_median, v) for s in stats if (v := value(s)) is not None]
+    return pearson([m for m, _ in pairs], [v for _, v in pairs])
 
 
 def category_delta_vs_baseline(
@@ -322,6 +313,7 @@ def aggregate_report(
     """
     if not metrics:
         raise EmptyAnalysisSetError("no papers to aggregate")
+    metrics = sorted(metrics, key=attrgetter("paper_id"))
     wanted = {m.paper_id for m in metrics}
     records = {paper.id: paper for paper in corpus.papers if paper.id in wanted}
     tallies: dict[CitationBucket, list[tuple[int, PaperDiversity]]] = {
@@ -366,28 +358,25 @@ def aggregate_report(
         ]
         return [LabeledTest(label, result) for label, result in results if result is not None]
 
-    ratio_corr = attempt("ratio correlation", ratio_vs_median_correlation, bucket_stats)
-    medians = [s.citation_median for s in usable]
+    def correlation(name: str, value: Callable[[BucketStats], float | None]):
+        return attempt(f"{name} correlation", median_correlation, bucket_stats, value)
+
+    ratio_corr = correlation("ratio", attrgetter("one_zero_ratio"))
     category_correlations = {
-        category.value: attempt(
-            f"{category.value} share correlation",
-            pearson,
-            medians,
-            [s.category_percentages[i] for s in usable],
+        category.value: correlation(
+            f"{category.value} share",
+            lambda s: None if s.n_papers == 0 else s.category_percentages[i],
         )
         for i, category in enumerate(CATEGORIES)
     }
-    severity_corr = attempt(
-        "severity ratio correlation", _severity_vs_median_correlation, bucket_stats
-    )
+    severity_corr = correlation("severity ratio", attrgetter("severity_ratio"))
     comparisons = attempt("chi-square tests", homogeneity_comparisons, bucket_stats) or ([], [])
     adjacent, pooled = map(tested, comparisons)
     baseline = usable[0].label
-    deltas = attempt("category deltas", category_delta_vs_baseline, bucket_stats, baseline) or {}
 
     return AnalysisReport(
         config=config,
-        n_selected=len(metrics),
+        metrics=metrics,
         buckets=bucket_stats,
         histogram=max_distance_histogram(
             m.max_distance for m in metrics if m.max_distance is not None
@@ -398,17 +387,25 @@ def aggregate_report(
         adjacent_tests=adjacent,
         pooled_tests=pooled,
         baseline=baseline,
-        category_deltas=deltas,
+        category_deltas=category_delta_vs_baseline(bucket_stats, baseline),
         warnings=warnings,
     )
 
 
-def run_analysis(corpus: Corpus, config: AnalysisConfig) -> AnalysisReport:
-    """Full pipeline: select, profile, score each paper, aggregate, test."""
+def run_analysis(
+    corpus: Corpus,
+    config: AnalysisConfig,
+    profiles: dict[tuple[str, int], ExpertiseVector] | None = None,
+) -> AnalysisReport:
+    """Full pipeline: select, profile, score each paper, aggregate, test.
+
+    The analysis ``teamdiv analyze`` runs. A ``profiles`` dict receives every
+    expertise vector scoring builds (see ``compute_paper_metrics``).
+    """
     selected = select_analysis_set(corpus, config)
     if not selected:
         raise EmptyAnalysisSetError("no papers satisfy the selection constraints")
-    metrics = compute_paper_metrics(corpus, config, selected)
+    metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
     return aggregate_report(corpus, config, metrics)
 
 
@@ -475,7 +472,7 @@ def _corr_text(result: CorrelationResult | None) -> str:
 
 def _render_markdown(report: AnalysisReport, path: Path) -> Path:
     lines = ["# Team expertise-diversity analysis", ""]
-    lines.append(f"Papers analysed: {report.n_selected}")
+    lines.append(f"Papers analysed: {len(report.metrics)}")
     lines.append("")
     lines.append("## Citation buckets")
     lines.append("")

@@ -18,10 +18,6 @@ _CF_EPS = 3e-15
 _CF_TINY = 1e-300
 
 
-class ZeroVarianceError(ValueError):
-    """A correlation input series has no variance."""
-
-
 @dataclass(frozen=True)
 class CorrelationResult:
     r: float
@@ -71,9 +67,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     sxx = sum((v - mean_x) ** 2 for v in x)
     syy = sum((v - mean_y) ** 2 for v in y)
     if sxx == 0:
-        raise ZeroVarianceError("x series has zero variance")
+        raise ValueError("x series has zero variance")
     if syy == 0:
-        raise ZeroVarianceError("y series has zero variance")
+        raise ValueError("y series has zero variance")
     sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -57,10 +57,6 @@ DEFAULT_TEAM_SIZES: Mapping[int, float] = {
 }
 
 
-class InfeasibleParamsError(ValueError):
-    """Generation parameters that cannot produce a valid corpus."""
-
-
 @dataclass(frozen=True)
 class SynthParams:
     seed: int = 0
@@ -79,60 +75,51 @@ class SynthParams:
     def __post_init__(self):
         for name in ("seed", "n_authors", "n_topics", "n_papers", "n_expertise_clusters"):
             if not _is_int(getattr(self, name)):
-                raise InfeasibleParamsError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("cluster_mix", "coupling", "citation_noise"):
             if not _is_number(getattr(self, name)):
-                raise InfeasibleParamsError(f"{name} must be a number, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not _is_pair(self.year_range) or not all(map(_is_int, self.year_range)):
-            raise InfeasibleParamsError(f"year_range must be two integers, got {self.year_range!r}")
+            raise ValueError(f"year_range must be two integers, got {self.year_range!r}")
         if not isinstance(self.team_size_distribution, Mapping) or not all(
             _is_int(s) and _is_number(p) for s, p in self.team_size_distribution.items()
         ):
-            raise InfeasibleParamsError("team_size_distribution must map integer sizes to numbers")
+            raise ValueError("team_size_distribution must map integer sizes to numbers")
         if self.n_authors < 2 or self.n_topics < 1 or self.n_papers < 1:
-            raise InfeasibleParamsError("counts must be positive (>=2 authors)")
+            raise ValueError("counts must be positive (>=2 authors)")
         if self.year_range[0] > self.year_range[1]:
-            raise InfeasibleParamsError("year_range start exceeds end")
+            raise ValueError("year_range start exceeds end")
         sizes = self.team_size_distribution
         if not sizes:
-            raise InfeasibleParamsError("team_size_distribution is empty")
+            raise ValueError("team_size_distribution is empty")
         if any(s < 2 or s > 12 for s in sizes):
-            raise InfeasibleParamsError("team sizes must lie in {2..12}")
+            raise ValueError("team sizes must lie in {2..12}")
         if any(p < 0 for p in sizes.values()) or not math.isclose(
             sum(sizes.values()), 1.0, abs_tol=1e-9
         ):
-            raise InfeasibleParamsError("team size probabilities must be >=0 and sum to 1")
+            raise ValueError("team size probabilities must be >=0 and sum to 1")
         if max(sizes) > self.n_authors:
-            raise InfeasibleParamsError("largest team size exceeds n_authors")
+            raise ValueError("largest team size exceeds n_authors")
         if not 1 <= self.n_expertise_clusters <= self.n_topics:
-            raise InfeasibleParamsError("need 1 <= n_expertise_clusters <= n_topics")
+            raise ValueError("need 1 <= n_expertise_clusters <= n_topics")
         if not 0.0 <= self.cluster_mix <= 1.0:
-            raise InfeasibleParamsError("cluster_mix must lie in [0, 1]")
+            raise ValueError("cluster_mix must lie in [0, 1]")
         if not -1.0 <= self.coupling <= 1.0:
-            raise InfeasibleParamsError("coupling must lie in [-1, 1]")
+            raise ValueError("coupling must lie in [-1, 1]")
         if self.citation_noise <= 0:
-            raise InfeasibleParamsError("citation_noise must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_authors": self.n_authors,
-            "n_topics": self.n_topics,
-            "n_papers": self.n_papers,
-            "year_range": list(self.year_range),
-            "team_size_distribution": {str(k): v for k, v in sorted(self.team_size_distribution.items())},
-            "n_expertise_clusters": self.n_expertise_clusters,
-            "cluster_mix": self.cluster_mix,
-            "coupling": self.coupling,
-            "citation_noise": self.citation_noise,
-            "rng": RNG_ALGORITHM,
-        }
+            raise ValueError("citation_noise must be positive")
 
 
 def write_params(params: SynthParams, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(params.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write every field of ``params`` and the RNG algorithm as JSON.
+
+    Team sizes become string keys before the keys are sorted, so "10" sorts
+    before "2", as in every params.json written so far.
+    """
+    data = asdict(params)
+    data["team_size_distribution"] = {str(k): v for k, v in params.team_size_distribution.items()}
+    data["rng"] = RNG_ALGORITHM
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _cluster_cores(params: SynthParams) -> list[tuple[str, ...]]:
@@ -186,7 +173,7 @@ def generate_corpus(params: SynthParams) -> list[PaperRecord]:
     for i, h in enumerate(home):
         cluster_members[h].append(i)
     if any(not members for members in cluster_members):
-        raise InfeasibleParamsError("more clusters than authors")
+        raise ValueError("more clusters than authors")
 
     size_values = sorted(params.team_size_distribution)
     size_probs = [params.team_size_distribution[s] for s in size_values]

@@ -13,8 +13,9 @@ import teamdiv
 import teamdiv.cli as cli
 from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig, load_corpus, select_analysis_set, write_corpus_jsonl
+from teamdiv.diversity import write_metrics_csv
 from teamdiv.expertise import write_profiles
-from teamdiv.report import build_profiles
+from teamdiv.report import build_profiles, render, run_analysis
 from teamdiv.synth import SynthParams, generate_corpus
 from tests.conftest import record
 
@@ -586,6 +587,15 @@ def test_dump_profiles_never_changes_the_metrics(tmp_path):
     expected = tmp_path / "expected.jsonl"
     write_profiles(expected, build_profiles(loaded, config, select_analysis_set(loaded, config)))
     assert (tmp_path / "profiles.jsonl").read_bytes() == expected.read_bytes()
+    # and every file it writes is the library's run_analysis, rendered and dumped
+    profiles = {}
+    report = run_analysis(loaded, config, profiles=profiles)
+    render(report, tmp_path / "lib")
+    write_metrics_csv(tmp_path / "lib.csv", report.metrics)
+    write_profiles(tmp_path / "lib.jsonl", profiles)
+    assert snapshot(tmp_path / "lib") == snapshot(tmp_path / "b")
+    assert (tmp_path / "lib.csv").read_bytes() == dumped.read_bytes()
+    assert (tmp_path / "lib.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_format_selection(valid_corpus_path, tmp_path):

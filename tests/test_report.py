@@ -3,10 +3,12 @@ import gc
 import json
 import math
 import random
+import re
 import statistics
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 from scipy.stats import chi2_contingency, pearsonr
@@ -25,7 +27,7 @@ from teamdiv.report import (
     compute_paper_metrics,
     homogeneity_comparisons,
     max_distance_histogram,
-    ratio_vs_median_correlation,
+    median_correlation,
     render,
     run_analysis,
 )
@@ -163,7 +165,7 @@ def test_histogram_bins_every_edge_and_its_neighbours_by_the_labelled_edges():
 def test_identical_profiles_give_low_everywhere():
     corpus = _team_corpus(shared_topics=True)
     report = run_analysis(corpus, AnalysisConfig())
-    assert report.n_selected == 12
+    assert len(report.metrics) == 12
     assert report.histogram.zero_count == 12
     assert report.histogram.one_count == 0
     for s in report.buckets:
@@ -186,7 +188,8 @@ def test_bucket_paper_counts_partition_selection():
     config = AnalysisConfig()
     report = run_analysis(corpus, config)
     selected = select_analysis_set(corpus, config)
-    assert sum(s.n_papers for s in report.buckets) == len(selected) == report.n_selected
+    assert sum(s.n_papers for s in report.buckets) == len(selected) == len(report.metrics)
+    assert [m.paper_id for m in report.metrics] == sorted(selected)
 
 
 def test_empty_analysis_set_raises():
@@ -392,12 +395,41 @@ def test_exact_counts_in_tables_match_dumped_metrics(tmp_path):
 
 
 def test_ratio_correlation_requires_three_buckets():
-    stats = [
-        _stats("A", 2, 5, 10, 3.0, 2, 4, (10, 0, 0, 0)),
-        _stats("B", 5, 10, 10, 6.0, 2, 8, (10, 0, 0, 0)),
+    # Every correlation against the medians counts only the buckets that define
+    # its value, and two such buckets fail with pearson's own reason.
+    reason = re.escape("need at least 3 points, got 2")
+    two = [
+        _stats("A", 2, 5, 10, 3.0, 2, 4, (6, 2, 1, 1)),
+        _stats("B", 5, 10, 10, 6.0, 2, 8, (5, 3, 1, 1)),
     ]
-    with pytest.raises(ValueError):
-        ratio_vs_median_correlation(stats)
+    empty = _stats("C", 10, 15, 0, None, 0, 0, (0, 0, 0, 0))
+    cases = [
+        (attrgetter("one_zero_ratio"), _stats("C", 10, 15, 10, 12.0, 0, 8, (5, 3, 1, 1))),
+        (attrgetter("severity_ratio"), _stats("C", 10, 15, 10, 12.0, 2, 8, (0, 8, 1, 1))),
+    ] + [
+        (lambda s, i=i: None if s.category_percentages is None else s.category_percentages[i],
+         empty)
+        for i in range(4)
+    ]
+    for value, undefined in cases:
+        assert value(two[0]) is not None and value(undefined) is None
+        with pytest.raises(ValueError, match=reason):
+            median_correlation(two + [undefined], value)
+
+    # aggregate_report words each of its six shortfalls the same way
+    records, metrics = [], []
+    for label, cited in (("A", 3), ("B", 7)):
+        for j, (distance, category) in enumerate(
+            [(0.0, DiversityCategory.LOW), (1.0, DiversityCategory.MODERATE)]
+        ):
+            pid = f"{label}{j}"
+            records.append(record(pid, 2013, ["a", "b"], ["x"], citations=cited))
+            metrics.append(PaperDiversity(pid, 2, 1, distance, 1 + j, category, 0))
+    result = aggregate_report(load_records(records), AnalysisConfig(), metrics)
+    names = ["ratio"] + [f"{c} share" for c in _CATEGORY_NAMES] + ["severity ratio"]
+    assert [w for w in result.warnings if "correlation" in w] == [
+        f"{name} correlation unavailable: need at least 3 points, got 2" for name in names
+    ]
 
 
 def test_ratio_correlation_monotone_fixture():
@@ -407,7 +439,7 @@ def test_ratio_correlation_monotone_fixture():
         _stats("C", 10, 15, 30, 12.0, 10, 30, (30, 0, 0, 0)),
         _stats("D", 15, 20, 30, 17.0, 10, 45, (30, 0, 0, 0)),
     ]
-    result = ratio_vs_median_correlation(stats)
+    result = median_correlation(stats, attrgetter("one_zero_ratio"))
     assert result.r > 0
 
 
@@ -556,7 +588,7 @@ def aggregate_fake_report(stats):
 
     return AnalysisReport(
         config=AnalysisConfig(),
-        n_selected=sum(s.n_papers for s in stats),
+        metrics=[],
         buckets=stats,
         histogram=Histogram(1, 1, tuple([0] * 20)),
         ratio_correlation=None,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,7 +7,6 @@ from teamdiv.corpus import AnalysisConfig, select_analysis_set, write_corpus_jso
 from teamdiv.report import run_analysis
 from teamdiv.stats import chi_square_survival
 from teamdiv.synth import (
-    InfeasibleParamsError,
     RNG_ALGORITHM,
     SynthParams,
     generate_corpus,
@@ -95,23 +95,26 @@ def test_backfill_records_have_no_citations():
             assert len(paper.authors) == 1
 
 
+_INFEASIBLE = [
+    ({"n_authors": 1}, "counts must be positive (>=2 authors)"),
+    ({"team_size_distribution": {1: 1.0}}, "team sizes must lie in {2..12}"),
+    ({"team_size_distribution": {13: 1.0}}, "team sizes must lie in {2..12}"),
+    ({"team_size_distribution": {2: 0.4, 3: 0.4}},
+     "team size probabilities must be >=0 and sum to 1"),
+    ({"n_expertise_clusters": 0}, "need 1 <= n_expertise_clusters <= n_topics"),
+    ({"n_expertise_clusters": 999, "n_topics": 100}, "need 1 <= n_expertise_clusters <= n_topics"),
+    ({"cluster_mix": 1.5}, "cluster_mix must lie in [0, 1]"),
+    ({"coupling": 2.0}, "coupling must lie in [-1, 1]"),
+    ({"citation_noise": 0.0}, "citation_noise must be positive"),
+    ({"team_size_distribution": {8: 1.0}, "n_authors": 5}, "largest team size exceeds n_authors"),
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"n_authors": 1},
-        {"team_size_distribution": {1: 1.0}},
-        {"team_size_distribution": {13: 1.0}},
-        {"team_size_distribution": {2: 0.4, 3: 0.4}},  # does not sum to 1
-        {"n_expertise_clusters": 0},
-        {"n_expertise_clusters": 999, "n_topics": 100},
-        {"cluster_mix": 1.5},
-        {"coupling": 2.0},
-        {"citation_noise": 0.0},
-        {"team_size_distribution": {8: 1.0}, "n_authors": 5},
-    ],
+    "kwargs, reason", _INFEASIBLE, ids=[f"kwargs{i}" for i in range(len(_INFEASIBLE))]
 )
-def test_infeasible_params_rejected(kwargs):
-    with pytest.raises(InfeasibleParamsError):
+def test_infeasible_params_rejected(kwargs, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
         SynthParams(**{"n_papers": 10, **kwargs})
 
 
