@@ -39,6 +39,9 @@ from .stats import (
 BIN_WIDTH = 0.05
 _BIN_EDGES = [i * BIN_WIDTH for i in range(1, round(1 / BIN_WIDTH))]
 
+# aggregate_report's citation count for a metric whose paper the corpus lacks
+_NOT_IN_CORPUS = object()
+
 
 class EmptyAnalysisSetError(ValueError):
     """No papers satisfied the selection constraints."""
@@ -180,11 +183,13 @@ def compute_paper_metrics(
 
     One pass over the corpus groups the papers by year; this is the only
     place the analysis builds expertise vectors. A vector keyed (author, Y)
-    is read only by papers of year Y, so each year's vectors are built in
-    that year's own dict, its papers scored, and the dict dropped before the
-    next year starts. A caller's ``profiles`` dict serves every year instead and
-    receives each vector it lacks. ``jobs`` accepts only 1; it is kept
-    because existing callers still pass ``jobs=1``.
+    is read only by papers of year Y, so the years are scored one at a time,
+    and each paper's team is built (each vector once) and scored before the
+    next paper. Each vector is dropped right after its author's last paper of
+    the year is scored, so only the vectors of authors with a paper still to
+    score that year are alive. A caller's ``profiles`` dict serves every year
+    instead, receives each vector it lacks and keeps them all. ``jobs``
+    accepts only 1; it is kept because existing callers still pass ``jobs=1``.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
@@ -193,13 +198,20 @@ def compute_paper_metrics(
     inclusive = config.inclusive_threshold
     metrics: list[PaperDiversity] = []
     for year, papers in _papers_by_year(corpus, paper_ids).items():
-        store = {} if profiles is None else profiles
-        # A year's vectors are all built before its papers are scored, so that
-        # freeing them frees whole pages, not pages shared with the metrics.
-        teams = [[vector(store, author, year) for author in paper.authors] for paper in papers]
-        for paper, team in zip(papers, teams):
+        if profiles is None:
+            store = {}
+            # the index of each author's last paper this year
+            last = {author: i for i, paper in enumerate(papers) for author in paper.authors}
+        else:
+            store, last = profiles, None
+        for i, paper in enumerate(papers):
+            team = [vector(store, author, year) for author in paper.authors]
             metrics.append(paper_diversity(paper.id, team, threshold, inclusive=inclusive))
-        del teams, team  # else they outlive their year while the next year's are built
+            del team  # else it keeps the vectors dropped below alive while the next is built
+            if last is not None:
+                for author in paper.authors:
+                    if last[author] == i:
+                        del store[author, year]
     metrics.sort(key=attrgetter("paper_id"))
     return metrics
 
@@ -314,13 +326,18 @@ def aggregate_report(
     if not metrics:
         raise EmptyAnalysisSetError("no papers to aggregate")
     metrics = sorted(metrics, key=attrgetter("paper_id"))
-    wanted = {m.paper_id for m in metrics}
-    records = {paper.id: paper for paper in corpus.papers if paper.id in wanted}
+    # each metric's citation count, filled in one pass over the corpus
+    citations = dict.fromkeys([m.paper_id for m in metrics], _NOT_IN_CORPUS)
+    for paper in corpus.papers:
+        if paper.id in citations:
+            citations[paper.id] = paper.citations_5y
     tallies: dict[CitationBucket, list[tuple[int, PaperDiversity]]] = {
         b: [] for b in config.buckets
     }
     for m in metrics:
-        cited = records[m.paper_id].citations_5y
+        cited = citations[m.paper_id]
+        if cited is _NOT_IN_CORPUS:
+            raise ValueError(f"paper {m.paper_id!r} is not in the corpus")
         if cited is None:
             raise ValueError(f"paper {m.paper_id!r} has no citation count")
         for bucket, tally in tallies.items():

@@ -92,6 +92,27 @@ def _multi_year_corpus():
     return load_records(records)
 
 
+def _same_year_corpus():
+    """Authors with more than one analysis paper in a year.
+
+    In 2013 "a" writes p1 and p3, with p2 between them, and "c" writes p2 and
+    p4; "a" and "b" write p5 in 2014 as well.
+    """
+    records = [
+        record("w1", 2011, ["a"], ["ml"]),
+        record("w2", 2011, ["b"], ["db"]),
+        record("w3", 2012, ["c"], ["ml", "hci"]),
+        record("w4", 2010, ["d"], ["nlp"]),
+        record("w5", 2012, ["e"], ["db", "nlp"]),
+        record("p1", 2013, ["a", "b"], ["vision"], citations=5),
+        record("p2", 2013, ["c", "d"], ["ml"], citations=40),
+        record("p3", 2013, ["e", "a"], ["hci"], citations=12),
+        record("p4", 2013, ["c", "e"], ["db"], citations=3),
+        record("p5", 2014, ["b", "a"], ["nlp"], citations=160),
+    ]
+    return load_records(records)
+
+
 def _overlap_records(n_papers=80, seed=4):
     """Teams whose members' topics overlap in part, so that max distances fall
     strictly inside (0, 1) as well as on both ends, in every bucket."""
@@ -284,6 +305,62 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
     assert cycles == 0
 
 
+def test_each_vector_is_gone_once_its_authors_last_paper_of_the_year_is_scored(monkeypatch):
+    corpus = _same_year_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    needed = sorted(build_profiles(corpus, config, selected))
+    real_profile_author = report.profile_author
+    real_paper_diversity = report.paper_diversity
+    built = []  # (author, year) of every vector, in build order
+    alive = {}  # (author, year) -> finalizer of its vector
+    scored = []  # (paper id, keys of the vectors alive while it is scored)
+
+    class Tracked(ExpertiseVector):
+        pass  # unlike its slotted base class, weakly referenceable
+
+    def build(corpus, background, author, year, config):
+        vector = Tracked(real_profile_author(corpus, background, author, year, config).entries)
+        built.append((author, year))
+        alive[author, year] = weakref.finalize(vector, lambda: None)
+        return vector
+
+    def score(paper_id, team, *args, **kwargs):
+        scored.append((paper_id, {key for key, ref in alive.items() if ref.alive}))
+        return real_paper_diversity(paper_id, team, *args, **kwargs)
+
+    monkeypatch.setattr(report, "profile_author", build)
+    monkeypatch.setattr(report, "paper_diversity", score)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        metrics = compute_paper_metrics(corpus, config, selected)
+        cycles = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert sorted(built) == needed and len(needed) == 7  # each vector built once
+    order = [paper_id for paper_id, _ in scored]
+    assert sorted(order) == [m.paper_id for m in metrics] == ["p1", "p2", "p3", "p4", "p5"]
+    papers = {paper_id: corpus.by_id[paper_id] for paper_id in order}
+    for k, (paper_id, live) in enumerate(scored):
+        year = papers[paper_id].year
+        later = {a for p in order[k + 1:] if papers[p].year == year for a in papers[p].authors}
+        earlier = {a for p in order[:k] if papers[p].year == year for a in papers[p].authors}
+        own = set(papers[paper_id].authors)
+        # its team, and the built vectors of authors with a paper still to score
+        assert live == {(a, year) for a in own | (earlier & later)}, paper_id
+    assert ("a", 2013) in scored[order.index("p2")][1]
+    assert not any(ref.alive for ref in alive.values())
+    assert cycles == 0
+    # a caller's dict keeps every vector
+    profiles = {}
+    assert compute_paper_metrics(corpus, config, selected, profiles=profiles) == metrics
+    assert sorted(profiles) == needed
+    assert all(alive[key].alive for key in needed)
+
+
 def test_a_profiles_dict_receives_exactly_the_vectors_build_profiles_builds():
     corpus = _multi_year_corpus()
     config = AnalysisConfig()
@@ -351,6 +428,9 @@ def test_aggregate_rejects_a_paper_without_a_bucket():
     uncited = replace(metrics[0], paper_id="uncited")
     with pytest.raises(ValueError, match="'uncited' has no citation count"):
         aggregate_report(corpus, config, metrics + [uncited])
+    stranger = replace(metrics[0], paper_id="stranger")
+    with pytest.raises(ValueError, match="'stranger' is not in the corpus"):
+        aggregate_report(corpus, config, metrics + [stranger])
     # papers selected with 2+ citations, bucketed from 50 up
     narrow = AnalysisConfig(min_citations=50, bucket_bounds=((50, None),))
     with pytest.raises(ValueError, match="fits no citation bucket"):
