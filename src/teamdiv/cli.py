@@ -10,6 +10,7 @@ import gc
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import (
@@ -68,20 +69,14 @@ def _read_json(path: str) -> object:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def build_config(args: argparse.Namespace) -> AnalysisConfig:
-    settings = _read_json(args.config) if args.config else {}
-    overrides = {
-        "window_years": args.window_years,
-        "top_k": args.top_k,
-        "edge_threshold": args.edge_threshold,
-        "year_range": tuple(args.year_range) if args.year_range else None,
-        "min_citations": args.min_citations,
-        "min_authors": args.min_authors,
-        "inclusive_threshold": args.inclusive_threshold,
-    }
+def _read_settings(cls: type, path: str | None, args: argparse.Namespace):
+    """Build ``cls`` from its defaults, overlaid by the JSON side file at ``path``,
+    overlaid by every flag given whose dest names one of its fields."""
+    settings = _read_json(path) if path else {}
     if isinstance(settings, dict):  # from_dict rejects any other JSON value
-        settings.update({k: v for k, v in overrides.items() if v is not None})
-    return AnalysisConfig.from_dict(settings)
+        names = {f.name for f in fields(cls)}
+        settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    return cls.from_dict(settings)
 
 
 def _parse_formats(value: str) -> tuple[str, ...]:
@@ -128,7 +123,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _analyze(args: argparse.Namespace) -> int:
     try:
         formats = _parse_formats(args.format)
-        config = build_config(args)
+        config = _read_settings(AnalysisConfig, args.config, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -177,36 +172,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # Imported here so that numpy, which only generation uses, loads for synth alone.
     from .synth import SynthParams, generate_corpus, write_params
 
-    settings = _read_json(args.params) if args.params else {}
-    if not isinstance(settings, dict):
-        raise ConfigError(f"params must be a JSON object, got {type(settings).__name__}")
-    settings.pop("rng", None)
-    overrides = {
-        "seed": args.seed,
-        "n_authors": args.authors,
-        "n_topics": args.topics,
-        "n_papers": args.papers,
-        "n_expertise_clusters": args.clusters,
-        "cluster_mix": args.mix,
-        "coupling": args.coupling,
-        "citation_noise": args.citation_noise,
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    # params.json spells year_range as an array and team sizes as string keys
-    if isinstance(settings.get("year_range"), list):
-        settings["year_range"] = tuple(settings["year_range"])
     try:
-        if isinstance(settings.get("team_size_distribution"), dict):
-            settings["team_size_distribution"] = {
-                int(k): v for k, v in settings["team_size_distribution"].items()
-            }
-        params = SynthParams(**settings)
-    except (TypeError, ValueError) as exc:  # an unknown key is a TypeError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+        params = _read_settings(SynthParams, args.params, args)
         papers = generate_corpus(params)
-    except ValueError as exc:  # more clusters than authors, or a value numpy's samplers reject
+    except ValueError as exc:  # a bad params value, more clusters than authors, or a value numpy rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     out_dir = Path(args.output or _default_output())
@@ -261,11 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--params", metavar="PATH", help="JSON file of generation parameters")
     p_synth.add_argument("--seed", type=int, default=None)
-    p_synth.add_argument("--papers", type=int, default=None, help="number of analysis papers")
-    p_synth.add_argument("--authors", type=int, default=None)
-    p_synth.add_argument("--topics", type=int, default=None)
-    p_synth.add_argument("--clusters", type=int, default=None, help="number of expertise clusters")
-    p_synth.add_argument("--mix", type=float, default=None,
+    p_synth.add_argument("--papers", dest="n_papers", metavar="PAPERS", type=int, default=None,
+                         help="number of analysis papers")
+    p_synth.add_argument("--authors", dest="n_authors", metavar="AUTHORS", type=int, default=None)
+    p_synth.add_argument("--topics", dest="n_topics", metavar="TOPICS", type=int, default=None)
+    p_synth.add_argument("--clusters", dest="n_expertise_clusters", metavar="CLUSTERS", type=int,
+                         default=None, help="number of expertise clusters")
+    p_synth.add_argument("--mix", dest="cluster_mix", metavar="MIX", type=float, default=None,
                          help="probability an author publishes outside their home cluster")
     p_synth.add_argument("--coupling", type=float, default=None,
                          help="diversity-citation coupling in [-1, 1]")
@@ -285,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except EmptyAnalysisSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

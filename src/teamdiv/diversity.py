@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 from .expertise import ExpertiseVector
@@ -141,30 +142,14 @@ def paper_diversity(
     )
 
 
-_METRIC_FIELDS = (
-    "paper_id",
-    "n_authors",
-    "pair_count",
-    "max_distance",
-    "n_components",
-    "category",
-    "excluded_authors",
-)
-
-
 def write_metrics_csv(path: str | Path, metrics: Iterable[PaperDiversity]) -> None:
+    """One row per paper, one column per field of ``PaperDiversity``.
+
+    ``csv`` writes None as an empty field, a float as its repr and the
+    category, a str enum, as its value.
+    """
+    names = [f.name for f in fields(PaperDiversity)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_METRIC_FIELDS)
-        for m in metrics:
-            writer.writerow(
-                [
-                    m.paper_id,
-                    m.n_authors,
-                    m.pair_count,
-                    "" if m.max_distance is None else repr(m.max_distance),
-                    m.n_components,
-                    m.category.value,
-                    m.excluded_authors,
-                ]
-            )
+        writer.writerow(names)
+        writer.writerows(map(attrgetter(*names), metrics))

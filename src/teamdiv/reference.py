@@ -14,8 +14,13 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .corpus import AnalysisConfig
-from .report import BucketStats, category_delta_vs_baseline, median_correlation
-from .stats import chi_square_homogeneity, pool_counts
+from .report import (
+    BucketStats,
+    category_delta_vs_baseline,
+    homogeneity_comparisons,
+    median_correlation,
+)
+from .stats import chi_square_homogeneity
 
 BUCKET_LABELS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
 
@@ -50,6 +55,9 @@ HEADLINE_R = 0.955
 HEADLINE_R_TOLERANCE = 0.005
 HIGH_DELTA_J_VS_A = 5.21
 HIGH_DELTA_TOLERANCE = 0.02
+
+# the chi-square comparisons replayed, by the label analyze gives each, with its p limit
+CHI_SQUARE_P_LIMITS = {"A vs B": 1e-4, "B vs C": 1e-4, "C vs D": 0.06, "A vs pooled B-J": 1e-4}
 
 
 @dataclass(frozen=True)
@@ -91,15 +99,14 @@ def reference_bucket_stats() -> list[BucketStats]:
 def run_reference_checks() -> list[CheckResult]:
     """Replay every reference-table-derived check; all should pass."""
     checks: list[CheckResult] = []
+    stats = reference_bucket_stats()
 
     # 1. each published #1/#0 ratio reproduces to 2 decimals
     ratio_failures = []
-    for label, zeros, ones, expected in zip(
-        BUCKET_LABELS, ZERO_COUNTS, ONE_COUNTS, ONE_ZERO_RATIOS
-    ):
-        ratio = ones / zeros
+    for s, expected in zip(stats, ONE_ZERO_RATIOS):
+        ratio = s.one_zero_ratio
         if round(ratio, 2) != expected:
-            ratio_failures.append(f"{label}: {ratio:.4f} != {expected}")
+            ratio_failures.append(f"{s.label}: {ratio:.4f} != {expected}")
     checks.append(
         CheckResult(
             name="one-zero ratios",
@@ -111,7 +118,7 @@ def run_reference_checks() -> list[CheckResult]:
     )
 
     # 2. headline correlation of ratio against citation median
-    corr = median_correlation(reference_bucket_stats(), attrgetter("one_zero_ratio"))
+    corr = median_correlation(stats, attrgetter("one_zero_ratio"))
     r_ok = abs(corr.r - HEADLINE_R) <= HEADLINE_R_TOLERANCE
     p_ok = corr.p_value < 1e-4
     checks.append(
@@ -124,7 +131,6 @@ def run_reference_checks() -> list[CheckResult]:
     )
 
     # 3. high-diversity share delta, last bucket vs first
-    stats = reference_bucket_stats()
     deltas = category_delta_vs_baseline(stats, "A")
     delta_high = deltas["J"][2]
     delta_ok = abs(delta_high - HIGH_DELTA_J_VS_A) <= HIGH_DELTA_TOLERANCE
@@ -137,16 +143,11 @@ def run_reference_checks() -> list[CheckResult]:
         )
     )
 
-    # 4. chi-square replays on reconstructed counts
-    counts = reconstructed_category_counts()
-    expectations = [
-        ("A vs B", counts[0], counts[1], 1e-4),
-        ("B vs C", counts[1], counts[2], 1e-4),
-        ("C vs D", counts[2], counts[3], 0.06),
-        ("A vs pooled B-J", counts[0], pool_counts(counts[1:]), 1e-4),
-    ]
-    for label, row_a, row_b, p_limit in expectations:
-        result = chi_square_homogeneity(row_a, row_b)
+    # 4. chi-square replays of the comparisons analyze makes, on reconstructed counts
+    adjacent, pooled = homogeneity_comparisons(stats)
+    rows = {label: (row_a, row_b) for label, row_a, row_b in adjacent + pooled}
+    for label, p_limit in CHI_SQUARE_P_LIMITS.items():
+        result = chi_square_homogeneity(*rows[label])
         checks.append(
             CheckResult(
                 name=f"chi-square {label}",

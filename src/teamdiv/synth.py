@@ -108,6 +108,29 @@ class SynthParams:
             raise ValueError("coupling must lie in [-1, 1]")
         if self.citation_noise <= 0:
             raise ValueError("citation_noise must be positive")
+        if not math.isfinite(self.citation_noise):
+            raise ValueError(f"citation_noise must be finite, got {self.citation_noise!r}")
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "SynthParams":
+        """The inverse of ``write_params``: a params.json object, or any subset of it."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"params must be a JSON object, got {type(data).__name__}")
+        kwargs = dict(data)
+        rng = kwargs.pop("rng", RNG_ALGORITHM)
+        unknown = set(kwargs) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown params keys: {sorted(unknown)}")
+        if rng != RNG_ALGORITHM:
+            raise ValueError(f"rng must be {RNG_ALGORITHM!r}, got {rng!r}")
+        # params.json spells year_range as an array and team sizes as string keys
+        if isinstance(kwargs.get("year_range"), list):
+            kwargs["year_range"] = tuple(kwargs["year_range"])
+        if isinstance(kwargs.get("team_size_distribution"), dict):
+            kwargs["team_size_distribution"] = {
+                int(k): v for k, v in kwargs["team_size_distribution"].items()
+            }
+        return cls(**kwargs)
 
 
 def write_params(params: SynthParams, path: str | Path) -> None:

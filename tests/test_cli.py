@@ -302,19 +302,22 @@ def test_analyze_writes_the_same_bytes_under_any_hash_seed(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, content",
+    "flag, content, message",
     [
-        ("--config", "[" * 200_000),
-        ("--params", "{bad"),
-        ("--params", "[1,2]"),
-        ("--params", '{"team_size_distribution": {"x": 1}}'),
-        ("--params", '{"seed": 1.5}'),
-        ("--params", '{"seed": -1}'),
+        ("--config", "[" * 200_000, None),
+        ("--params", "{bad", None),
+        ("--params", "[1,2]", None),
+        ("--params", '{"team_size_distribution": {"x": 1}}', None),
+        ("--params", '{"seed": 1.5}', None),
+        ("--params", '{"seed": -1}', None),
+        ("--params", '{"foo": 1}', "error: unknown params keys: ['foo']\n"),
+        ("--params", '{"rng": "mt19937"}', None),
     ],
     ids=["config-deep-nesting", "params-not-json", "params-not-object", "params-bad-team-size",
-         "params-float-seed", "params-negative-seed"],
+         "params-float-seed", "params-negative-seed", "params-unknown-key", "params-other-rng"],
 )
-def test_json_side_file_mistakes_exit_2(valid_corpus_path, tmp_path, capsys, flag, content):
+def test_json_side_file_mistakes_exit_2(valid_corpus_path, tmp_path, capsys, flag, content,
+                                        message):
     side = tmp_path / "side.json"
     side.write_text(content)
     command = ["analyze", str(valid_corpus_path)] if flag == "--config" else ["synth"]
@@ -322,6 +325,53 @@ def test_json_side_file_mistakes_exit_2(valid_corpus_path, tmp_path, capsys, fla
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+    if message is not None:
+        assert err == message
+
+
+# (command, flag and its arguments, field, side-file value, flag value); each flag
+# value differs from the side-file value and from the default
+_SETTING_FLAGS = [
+    ("synth", ["--seed", "2"], "seed", 3, 2),
+    ("synth", ["--papers", "30"], "n_papers", 20, 30),
+    ("synth", ["--authors", "70"], "n_authors", 60, 70),
+    ("synth", ["--topics", "50"], "n_topics", 40, 50),
+    ("synth", ["--clusters", "5"], "n_expertise_clusters", 4, 5),
+    ("synth", ["--mix", "0.25"], "cluster_mix", 0.5, 0.25),
+    ("synth", ["--coupling", "0.5"], "coupling", -0.5, 0.5),
+    ("synth", ["--citation-noise", "0.5"], "citation_noise", 0.75, 0.5),
+    ("analyze", ["--window-years", "3"], "window_years", 4, 3),
+    ("analyze", ["--top-k", "5"], "top_k", 7, 5),
+    ("analyze", ["--edge-threshold", "0.25"], "edge_threshold", 0.5, 0.25),
+    ("analyze", ["--year-range", "2011", "2014"], "year_range", [2012, 2013], [2011, 2014]),
+    # a file's min_citations of 3 alone fails the default bucket_bounds
+    ("analyze", ["--min-citations", "2"], "min_citations", 3, 2),
+    ("analyze", ["--min-authors", "1"], "min_authors", 2, 1),
+    ("analyze", ["--inclusive-threshold"], "inclusive_threshold", False, True),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, field, file_value, flag_value",
+    _SETTING_FLAGS,
+    ids=[row[1][0] for row in _SETTING_FLAGS],
+)
+def test_each_setting_flag_overrides_its_side_file_field(
+    valid_corpus_path, tmp_path, command, flag, field, file_value, flag_value
+):
+    side = tmp_path / "side.json"
+    out_dir = tmp_path / "out"
+    if command == "synth":
+        small = {"n_papers": 20, "n_authors": 60, "n_topics": 40, "n_expertise_clusters": 4}
+        side.write_text(json.dumps({**small, field: file_value}))
+        argv = ["synth", "--params", str(side)]
+        echo = out_dir / "params.json"
+    else:
+        side.write_text(json.dumps({field: file_value}))
+        argv = ["analyze", str(valid_corpus_path), "--config", str(side)]
+        echo = out_dir / "config.json"
+    assert main(argv + flag + ["--output", str(out_dir)]) == 0
+    assert json.loads(echo.read_text())[field] == flag_value
 
 
 def json_values(keys):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -107,6 +108,8 @@ _INFEASIBLE = [
     ({"coupling": 2.0}, "coupling must lie in [-1, 1]"),
     ({"citation_noise": 0.0}, "citation_noise must be positive"),
     ({"team_size_distribution": {8: 1.0}, "n_authors": 5}, "largest team size exceeds n_authors"),
+    ({"citation_noise": math.inf}, "citation_noise must be finite, got inf"),
+    ({"citation_noise": math.nan}, "citation_noise must be finite, got nan"),
 ]
 
 
@@ -126,6 +129,18 @@ def test_params_echo_includes_rng(tmp_path):
     assert data["rng"] == RNG_ALGORITHM
     assert data["seed"] == 77
     assert data["team_size_distribution"]["2"] == pytest.approx(0.35)
+
+
+def test_from_dict_reads_back_what_write_params_wrote(tmp_path):
+    # "10" and "12" sort before "2" as string keys
+    params = SynthParams(
+        seed=9, n_authors=500, year_range=(2011, 2016),
+        team_size_distribution={2: 0.5, 10: 0.25, 12: 0.25},
+        cluster_mix=0.2, coupling=-0.3, citation_noise=0.7,
+    )
+    path = tmp_path / "params.json"
+    write_params(params, path)
+    assert SynthParams.from_dict(json.loads(path.read_text())) == params
 
 
 def test_coupled_corpus_shows_positive_association():
