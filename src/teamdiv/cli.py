@@ -1,6 +1,7 @@
 """Command-line driver: validate, analyze, synth, tables-check.
 
-Flag values override config-file values, which override the defaults.
+Flag values override the values of a --config or --params file, which override
+the defaults.
 Exit codes: 0 success, 1 analysis or check failure, 2 I/O or usage error.
 """
 from __future__ import annotations
