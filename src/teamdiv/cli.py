@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .corpus import (
     AnalysisConfig,
-    ConfigError,
     CorpusValidationError,
     load_corpus,
     validate_jsonl,
@@ -62,12 +61,12 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_json(path: str) -> object:
-    """Decode a JSON side file; any failure to read or decode it is a ConfigError."""
+    """Decode a JSON side file; any failure to read or decode it is a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _read_settings(cls: type, path: str | None, args: argparse.Namespace):

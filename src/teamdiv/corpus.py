@@ -67,10 +67,6 @@ class CorpusValidationError(ValueError):
         super().__init__(f"record {position}: {message}")
 
 
-class ConfigError(ValueError):
-    """An analysis configuration violates its invariants."""
-
-
 @dataclass(frozen=True, slots=True)
 class PaperRecord:
     """One publication; ``topics`` holds its distinct topics in ascending order."""
@@ -138,35 +134,35 @@ class AnalysisConfig:
         for name in ("window_years", "top_k", "min_citations", "min_authors"):
             value = getattr(self, name)
             if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not _is_number(self.edge_threshold):
-            raise ConfigError(f"edge_threshold must be a number, got {self.edge_threshold!r}")
+            raise ValueError(f"edge_threshold must be a number, got {self.edge_threshold!r}")
         if not isinstance(self.inclusive_threshold, bool):
-            raise ConfigError(
+            raise ValueError(
                 f"inclusive_threshold must be true or false, got {self.inclusive_threshold!r}"
             )
         if not _is_pair(self.year_range) or not all(map(_is_int, self.year_range)):
-            raise ConfigError(f"year_range must be two integers, got {self.year_range!r}")
+            raise ValueError(f"year_range must be two integers, got {self.year_range!r}")
         if not isinstance(self.bucket_bounds, (list, tuple)) or not all(
             _is_pair(b) and _is_int(b[0]) and (b[1] is None or _is_int(b[1]))
             for b in self.bucket_bounds
         ):
-            raise ConfigError(
+            raise ValueError(
                 "bucket_bounds must be a list of [int, int or null] pairs, "
                 f"got {self.bucket_bounds!r}"
             )
         if self.window_years < 1:
-            raise ConfigError("window_years must be >= 1")
+            raise ValueError("window_years must be >= 1")
         if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
+            raise ValueError("top_k must be >= 1")
         if not 0.0 <= self.edge_threshold <= 1.0:
-            raise ConfigError("edge_threshold must lie in [0, 1]")
+            raise ValueError("edge_threshold must lie in [0, 1]")
         if self.year_range[0] > self.year_range[1]:
-            raise ConfigError("year_range start exceeds end")
+            raise ValueError("year_range start exceeds end")
         if self.min_authors < 1:
-            raise ConfigError("min_authors must be >= 1")
+            raise ValueError("min_authors must be >= 1")
         if not self.bucket_bounds:
-            raise ConfigError("bucket_bounds must be nonempty")
+            raise ValueError("bucket_bounds must be nonempty")
         expected_lo = self.min_citations
         for i, (lo, hi) in enumerate(self.bucket_bounds):
             last = i == len(self.bucket_bounds) - 1
@@ -176,16 +172,16 @@ class AnalysisConfig:
                     if i == 0
                     else ""
                 )
-                raise ConfigError(
+                raise ValueError(
                     f"bucket_bounds must be contiguous from min_citations: "
                     f"range {i} starts at {lo}, expected {expected_lo}{hint}"
                 )
             if last:
                 if hi is not None:
-                    raise ConfigError("last bucket must be unbounded above")
+                    raise ValueError("last bucket must be unbounded above")
             else:
                 if hi is None or hi <= lo:
-                    raise ConfigError(f"bucket range {i} is empty or unordered")
+                    raise ValueError(f"bucket range {i} is empty or unordered")
                 expected_lo = hi
 
     @property
@@ -201,11 +197,11 @@ class AnalysisConfig:
     @classmethod
     def from_dict(cls, data: Mapping) -> "AnalysisConfig":
         if not isinstance(data, Mapping):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         # JSON arrays become tuples; anything else reaches __post_init__ as is
         if isinstance(kwargs.get("year_range"), (list, tuple)):

@@ -1,9 +1,10 @@
 """Statistical kernel: medians, Pearson r, chi-square tests.
 
-Tail probabilities come from the regularized incomplete beta and gamma
-functions, evaluated with Lentz-style continued fractions, so the package
-needs no external statistics dependency. The test suite checks the results
-against published distribution tables.
+The Student-t tail comes from the regularized incomplete beta function,
+evaluated with a Lentz-style continued fraction; the chi-square tail, whose
+df is always an integer, is a finite sum. So the package needs no external
+statistics dependency. The test suite checks the results against published
+distribution tables.
 """
 from __future__ import annotations
 
@@ -138,10 +139,23 @@ def chi_square_survival(statistic: float, df: int) -> float:
         raise ValueError("df must be >= 1")
     if statistic < 0:
         raise ValueError("statistic must be nonnegative")
-    return regularized_upper_gamma(df / 2.0, statistic / 2.0)
+    if statistic == 0:
+        return 1.0
+    # For integer df the tail Q(df/2, y), y = statistic/2, is a finite sum of
+    # positive terms y^s e^-y / s! over s = df/2 - 1, df/2 - 2, ... down to 0
+    # (even df) or 1/2 (odd df, plus erfc(sqrt(y))). Each term is formed in
+    # log space, since e^-y alone underflows for y > 745.
+    y = statistic / 2.0
+    log_y = math.log(y)
+    total = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    s = df / 2.0 - 1.0
+    while s >= 0:
+        total += math.exp(s * log_y - y - math.lgamma(s + 1.0))
+        s -= 1.0
+    return total
 
 
-# The special functions below follow the classic series/continued-fraction
+# The incomplete beta below follows the classic series/continued-fraction
 # split: each representation is used only where it converges quickly.
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -201,51 +215,3 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         if abs(step - 1.0) < _CF_EPS:
             return h
     raise ArithmeticError(f"incomplete beta failed to converge for a={a} b={b} x={x}")
-
-
-def regularized_upper_gamma(s: float, x: float) -> float:
-    """Q(s, x) = 1 - P(s, x) for s > 0, x >= 0."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _lower_gamma_series(s, x)
-    return _upper_gamma_continued_fraction(s, x)
-
-
-def _lower_gamma_series(s: float, x: float) -> float:
-    ap = s
-    term = 1.0 / s
-    total = term
-    for _ in range(_CF_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _CF_EPS:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ArithmeticError(f"lower gamma series failed to converge for s={s} x={x}")
-
-
-def _upper_gamma_continued_fraction(s: float, x: float) -> float:
-    b = x + 1.0 - s
-    c = 1.0 / _CF_TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = b + an / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < _CF_EPS:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ArithmeticError(f"upper gamma fraction failed to converge for s={s} x={x}")

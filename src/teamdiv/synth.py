@@ -76,6 +76,8 @@ class SynthParams:
         for name in ("seed", "n_authors", "n_topics", "n_papers", "n_expertise_clusters"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("cluster_mix", "coupling", "citation_noise"):
             if not _is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -128,9 +130,18 @@ class SynthParams:
             kwargs["year_range"] = tuple(kwargs["year_range"])
         if isinstance(kwargs.get("team_size_distribution"), dict):
             kwargs["team_size_distribution"] = {
-                int(k): v for k, v in kwargs["team_size_distribution"].items()
+                _int_key(k): v for k, v in kwargs["team_size_distribution"].items()
             }
         return cls(**kwargs)
+
+
+def _int_key(key):
+    """``key`` as an int if it spells one; otherwise unchanged, for
+    ``__post_init__`` to reject."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        return key
 
 
 def write_params(params: SynthParams, path: str | Path) -> None:

@@ -307,14 +307,18 @@ def test_analyze_writes_the_same_bytes_under_any_hash_seed(tmp_path):
         ("--config", "[" * 200_000, None),
         ("--params", "{bad", None),
         ("--params", "[1,2]", None),
-        ("--params", '{"team_size_distribution": {"x": 1}}', None),
+        ("--params", '{"team_size_distribution": {"x": 1}}',
+         "error: team_size_distribution must map integer sizes to numbers\n"),
+        ("--params", '{"team_size_distribution": {"2": 0.5, "three": 0.5}}',
+         "error: team_size_distribution must map integer sizes to numbers\n"),
         ("--params", '{"seed": 1.5}', None),
-        ("--params", '{"seed": -1}', None),
+        ("--params", '{"seed": -1}', "error: seed must be >= 0, got -1\n"),
         ("--params", '{"foo": 1}', "error: unknown params keys: ['foo']\n"),
         ("--params", '{"rng": "mt19937"}', None),
     ],
     ids=["config-deep-nesting", "params-not-json", "params-not-object", "params-bad-team-size",
-         "params-float-seed", "params-negative-seed", "params-unknown-key", "params-other-rng"],
+         "params-team-size-key", "params-float-seed", "params-negative-seed",
+         "params-unknown-key", "params-other-rng"],
 )
 def test_json_side_file_mistakes_exit_2(valid_corpus_path, tmp_path, capsys, flag, content,
                                         message):
@@ -675,7 +679,17 @@ def test_format_naming_no_format_is_a_usage_error(valid_corpus_path, tmp_path, m
 
 def test_tables_check_passes(capsys):
     assert main(["tables-check"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS] headline correlation" in out
-    assert "[PASS] one-zero ratios" in out
-    assert "all 7 checks passed" in out
+    # every printed statistic and p-value, to the digit, so that a change to a
+    # statistics kernel that moves one shows here
+    assert capsys.readouterr().out == (
+        "[PASS] one-zero ratios: all 10 buckets to 2 decimals\n"
+        "[PASS] headline correlation: r = 0.9546 (expected 0.955 +/- 0.005), "
+        "p = 1.76e-05 (expected < 1e-4)\n"
+        "[PASS] J vs A high-diversity delta: 5.2040 percentage points (expected 5.21 +/- 0.02)\n"
+        "[PASS] chi-square A vs B: statistic = 75.36, df = 3, p = 3.04e-16 (expected < 0.0001)\n"
+        "[PASS] chi-square B vs C: statistic = 25.00, df = 3, p = 1.55e-05 (expected < 0.0001)\n"
+        "[PASS] chi-square C vs D: statistic = 8.59, df = 3, p = 0.0352 (expected < 0.06)\n"
+        "[PASS] chi-square A vs pooled B-J: statistic = 601.29, df = 3, "
+        "p = 5.3e-130 (expected < 0.0001)\n"
+        "all 7 checks passed\n"
+    )

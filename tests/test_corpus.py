@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import teamdiv.corpus as corpus_module
 from teamdiv.corpus import (
     AnalysisConfig,
-    ConfigError,
     CorpusValidationError,
     PaperRecord,
     load_corpus,
@@ -559,20 +558,24 @@ def test_custom_bucket_labels_extend_past_z():
     assert labels[26] == "AA"
 
 
+_BAD_CONFIGS = [
+    ({"bucket_bounds": ((2, 5), (6, None))},  # gap
+     "bucket_bounds must be contiguous from min_citations: range 1 starts at 6, expected 5"),
+    ({"bucket_bounds": ((2, 5), (5, 10))}, "last bucket must be unbounded above"),
+    ({"bucket_bounds": ((3, None),)},  # does not start at min_citations
+     "bucket_bounds must be contiguous from min_citations: range 0 starts at 3, expected 2"),
+    ({"edge_threshold": 1.5}, "edge_threshold must lie in [0, 1]"),
+    ({"top_k": 0}, "top_k must be >= 1"),
+    ({"window_years": 0}, "window_years must be >= 1"),
+    ({"year_range": (2015, 2010)}, "year_range start exceeds end"),
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"bucket_bounds": ((2, 5), (6, None))},  # gap
-        {"bucket_bounds": ((2, 5), (5, 10))},  # bounded last bucket
-        {"bucket_bounds": ((3, None),)},  # does not start at min_citations
-        {"edge_threshold": 1.5},
-        {"top_k": 0},
-        {"window_years": 0},
-        {"year_range": (2015, 2010)},
-    ],
+    "kwargs, message", _BAD_CONFIGS, ids=[f"kwargs{i}" for i in range(len(_BAD_CONFIGS))]
 )
-def test_config_invariants_rejected(kwargs):
-    with pytest.raises(ConfigError):
+def test_config_invariants_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         AnalysisConfig(**kwargs)
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import chi2
 
 from teamdiv.corpus import AnalysisConfig
 from teamdiv.report import BucketStats
@@ -13,7 +14,6 @@ from teamdiv.stats import (
     pearson,
     pool_counts,
     regularized_incomplete_beta,
-    regularized_upper_gamma,
     student_t_two_sided_p,
 )
 
@@ -256,10 +256,44 @@ def test_tail_probability_monotonicity():
 def test_special_function_edges():
     assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
     assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    assert regularized_upper_gamma(1.5, 0.0) == 1.0
+    for df in (1, 2, 3, 40):
+        assert chi_square_survival(0.0, df) == 1.0
     # Q(1, x) = exp(-x)
     for x in [0.5, 1.0, 3.0, 10.0]:
-        assert regularized_upper_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-12)
+        assert chi_square_survival(2 * x, 2) == pytest.approx(math.exp(-x), rel=1e-12)
     # I_x(1, 1) = x
     for x in [0.1, 0.42, 0.9]:
         assert regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(x, rel=1e-12)
+
+
+# --- chi-square tail: the finite sum for integer df ---
+
+_CHI2_X_GRID = [0.001, 0.1, 0.5, 1.0, 2.0, 3.5, 6.0, 10.0, 17.0, 30.0, 55.0, 100.0,
+                180.0, 320.0, 600.0, 1000.0, 1400.0]
+
+
+@pytest.mark.parametrize("df", range(1, 41))
+def test_chi_square_survival_matches_scipy(df):
+    for x in _CHI2_X_GRID:
+        expected = chi2.sf(x, df)
+        if expected >= 1e-300:
+            assert chi_square_survival(x, df) == pytest.approx(expected, rel=1e-12), x
+
+
+def test_chi_square_survival_closed_forms():
+    for x in [1e-6, 0.3, 1.0, 4.0, 25.0, 200.0, 1400.0]:
+        assert chi_square_survival(x, 2) == math.exp(-x / 2)
+        assert chi_square_survival(x, 1) == math.erfc(math.sqrt(x / 2))
+
+
+def test_chi_square_survival_beyond_the_exp_underflow():
+    # exp(-800) alone is 0.0 in floating point; the tail itself is about 1e-268
+    expected = chi2.sf(1600.0, 100)
+    assert 1e-300 < expected < 1e-200
+    assert chi_square_survival(1600.0, 100) == pytest.approx(expected, rel=1e-12)
+
+
+def test_chi_square_survival_large_df():
+    assert chi_square_survival(10_000.0, 10_000) == pytest.approx(
+        chi2.sf(10_000.0, 10_000), rel=1e-10
+    )

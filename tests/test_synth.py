@@ -110,6 +110,7 @@ _INFEASIBLE = [
     ({"team_size_distribution": {8: 1.0}, "n_authors": 5}, "largest team size exceeds n_authors"),
     ({"citation_noise": math.inf}, "citation_noise must be finite, got inf"),
     ({"citation_noise": math.nan}, "citation_noise must be finite, got nan"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ]
 
 
