@@ -219,7 +219,9 @@ def compute_paper_metrics(
 def max_distance_histogram(distances: Iterable[float]) -> Histogram:
     """Count max distances that are exactly 0, exactly 1, or in [i*w, (i+1)*w).
 
-    The only code that sorts max distances; the distance kernel decides the ends.
+    Bins the overall max distances for fig2 and report.md; ``_bucket_stats``
+    counts each bucket's exact 0s and 1s for table2 by the same equality
+    tests. The distance kernel decides the ends.
     """
     counts = [0] * (len(_BIN_EDGES) + 1)
     zero_count = 0

@@ -141,8 +141,10 @@ def chi_square_survival(statistic: float, df: int) -> float:
         raise ValueError("statistic must be nonnegative")
     if statistic == 0:
         return 1.0
+    if statistic == math.inf:
+        return 0.0
     # For integer df the tail Q(df/2, y), y = statistic/2, is a finite sum of
-    # positive terms y^s e^-y / s! over s = df/2 - 1, df/2 - 2, ... down to 0
+    # positive terms y^s e^-y / Gamma(s + 1) over s = df/2 - 1, ... down to 0
     # (even df) or 1/2 (odd df, plus erfc(sqrt(y))). Each term is formed in
     # log space, since e^-y alone underflows for y > 745.
     y = statistic / 2.0
@@ -155,8 +157,8 @@ def chi_square_survival(statistic: float, df: int) -> float:
     return total
 
 
-# The incomplete beta below follows the classic series/continued-fraction
-# split: each representation is used only where it converges quickly.
+# The incomplete beta below evaluates its continued fraction for I_x(a, b)
+# or for 1 - I_(1-x)(b, a), whichever side of the mean converges quickly.
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""

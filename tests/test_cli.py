@@ -333,6 +333,13 @@ def test_json_side_file_mistakes_exit_2(valid_corpus_path, tmp_path, capsys, fla
         assert err == message
 
 
+def test_synth_negative_seed_flag_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["synth", "--seed=-1", "--papers", "10", "--output", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out_dir.exists()
+
+
 # (command, flag and its arguments, field, side-file value, flag value); each flag
 # value differs from the side-file value and from the default
 _SETTING_FLAGS = [

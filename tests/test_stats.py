@@ -284,6 +284,8 @@ def test_chi_square_survival_closed_forms():
     for x in [1e-6, 0.3, 1.0, 4.0, 25.0, 200.0, 1400.0]:
         assert chi_square_survival(x, 2) == math.exp(-x / 2)
         assert chi_square_survival(x, 1) == math.erfc(math.sqrt(x / 2))
+    for df in (1, 2, 3, 40):
+        assert chi_square_survival(math.inf, df) == 0.0
 
 
 def test_chi_square_survival_beyond_the_exp_underflow():
