@@ -22,8 +22,6 @@ from .report import (
 )
 from .stats import chi_square_homogeneity
 
-BUCKET_LABELS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J")
-
 CITATION_MEDIANS = (3, 6, 12, 17, 24, 34, 44, 64, 118, 226)
 
 # paper counts as listed alongside the citation ranges
@@ -35,7 +33,7 @@ ONE_ZERO_RATIOS = (12.05, 18.56, 25.44, 28.01, 39.25, 44.22, 35.65, 49.93, 72.91
 
 # category shares in percent (low, moderate, high, very_high) and the totals
 # listed in the category table (which disagree slightly with the range table
-# for B and H; each check uses its own table's totals)
+# for B and H; the category counts are rebuilt from these totals)
 CATEGORY_PERCENTAGES = (
     (64.84, 32.15, 2.79, 0.23),
     (61.69, 34.71, 3.25, 0.35),

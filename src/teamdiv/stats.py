@@ -1,8 +1,8 @@
 """Statistical kernel: medians, Pearson r, chi-square tests.
 
-The Student-t tail comes from the regularized incomplete beta function,
-evaluated with a Lentz-style continued fraction; the chi-square tail, whose
-df is always an integer, is a finite sum. So the package needs no external
+The Student-t tail is the regularized incomplete beta I_x(df/2, 1/2),
+summed as a power series of positive terms; the chi-square tail, whose df
+is always an integer, is a finite sum. So the package needs no external
 statistics dependency. The test suite checks the results against published
 distribution tables.
 """
@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 SIGNIFICANCE_LEVEL = 0.05
-
-_CF_MAX_ITER = 300
-_CF_EPS = 3e-15
-_CF_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,20 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     if df < 1:
         raise ValueError("df must be >= 1")
     t2 = t * t
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t2))
+    if t2 == math.inf:
+        return 0.0
+    # The tail is I_x(a, 1/2) with a = df/2 and x = df/(df + t^2). y = 1 - x is
+    # formed on its own, so a small t is not lost to the rounding of x. Below
+    # the split (a + 1)/(a + 2.5) the series for I_x(a, 1/2) converges fast;
+    # above it, the series for 1 - I_x(a, 1/2) = I_y(1/2, a) does.
+    x = df / (df + t2)
+    y = t2 / (df + t2)
+    if y == 0.0:
+        return 1.0
+    a = df / 2.0
+    if x < (a + 1.0) / (a + 2.5):
+        return _beta_series(a, 0.5, x, y)
+    return 1.0 - _beta_series(0.5, a, y, x)
 
 
 def chi_square_survival(statistic: float, df: int) -> float:
@@ -157,63 +166,24 @@ def chi_square_survival(statistic: float, df: int) -> float:
     return total
 
 
-# The incomplete beta below evaluates its continued fraction for I_x(a, b)
-# or for 1 - I_(1-x)(b, a), whichever side of the mean converges quickly.
+def _beta_series(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for 0 < x < 1 and y = 1 - x, by A&S 26.5.4.
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if x < 0.0 or x > 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
+    I_x(a, b) = x^a y^b / (a B(a, b)) * sum over i of the positive terms
+    prod_{j<i} (a + b + j) / (a + 1 + j) * x. The caller keeps each term
+    ratio below 1, so the sum stops once a term is under 1e-17 of the total.
+    """
+    total = term = 1.0
+    j = 0
+    while term > 1e-17 * total:
+        term *= (a + b + j) / (a + 1.0 + j) * x
+        total += term
+        j += 1
+    log_front = (
+        a * math.log(x)
+        + b * math.log(y)
+        + math.lgamma(a + b)
+        - math.lgamma(a + 1.0)
         - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
     )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(f"incomplete beta failed to converge for a={a} b={b} x={x}")
+    return math.exp(log_front) * total

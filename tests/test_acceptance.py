@@ -16,7 +16,6 @@ from teamdiv.diversity import (
 )
 from teamdiv.expertise import ExpertiseVector, TopicDistribution, expertise_vector
 from teamdiv.reference import (
-    BUCKET_LABELS,
     CITATION_MEDIANS,
     ONE_COUNTS,
     ONE_ZERO_RATIOS,
@@ -54,11 +53,11 @@ def test_headline_correlation_replay():
 
 def test_ratio_reproduction():
     mismatches = []
-    for label, zeros, ones, expected in zip(
-        BUCKET_LABELS, ZERO_COUNTS, ONE_COUNTS, ONE_ZERO_RATIOS
+    for bucket, zeros, ones, expected in zip(
+        AnalysisConfig().buckets, ZERO_COUNTS, ONE_COUNTS, ONE_ZERO_RATIOS
     ):
         if round(ones / zeros, 2) != expected:
-            mismatches.append(label)
+            mismatches.append(bucket.label)
     _verdict(
         "ratio reproduction",
         not mismatches,

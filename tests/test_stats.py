@@ -3,7 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, t as student_t
 
 from teamdiv.corpus import AnalysisConfig
 from teamdiv.report import BucketStats
@@ -13,7 +13,6 @@ from teamdiv.stats import (
     median,
     pearson,
     pool_counts,
-    regularized_incomplete_beta,
     student_t_two_sided_p,
 )
 
@@ -254,16 +253,51 @@ def test_tail_probability_monotonicity():
 
 
 def test_special_function_edges():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
     for df in (1, 2, 3, 40):
         assert chi_square_survival(0.0, df) == 1.0
     # Q(1, x) = exp(-x)
     for x in [0.5, 1.0, 3.0, 10.0]:
         assert chi_square_survival(2 * x, 2) == pytest.approx(math.exp(-x), rel=1e-12)
-    # I_x(1, 1) = x
-    for x in [0.1, 0.42, 0.9]:
-        assert regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(x, rel=1e-12)
+
+
+# --- Student-t tail: the incomplete beta power series ---
+
+_T_GRID = [10 ** (k / 40) for k in range(-160, 241)]
+
+
+@pytest.mark.parametrize("df", range(1, 41))
+def test_student_t_two_sided_p_matches_scipy(df):
+    for t in _T_GRID:
+        expected = 2 * student_t.sf(t, df)
+        if expected >= 1e-300:
+            assert student_t_two_sided_p(t, df) == pytest.approx(expected, rel=1e-12), t
+
+
+def test_student_t_two_sided_p_closed_forms():
+    for t in [1e-8, 0.3, 2.0]:
+        for signed in (t, -t):
+            assert student_t_two_sided_p(signed, 1) == pytest.approx(
+                1 - 2 / math.pi * math.atan(t), rel=1e-13
+            )
+            assert student_t_two_sided_p(signed, 2) == pytest.approx(
+                1 - t / math.sqrt(2 + t * t), rel=1e-13
+            )
+    # the true tail, which 1 - x loses once x = 1/(1 + t^2) rounds to 1
+    assert student_t_two_sided_p(1e-8, 1) == pytest.approx(0.9999999936338023, rel=1e-12)
+    # t^2 underflows to 0 below 1e-162 and overflows above 1.3e154
+    for df in (1, 2, 3, 40):
+        assert student_t_two_sided_p(0.0, df) == 1.0
+        assert student_t_two_sided_p(1e-170, df) == 1.0
+        assert student_t_two_sided_p(math.inf, df) == 0.0
+        assert student_t_two_sided_p(-math.inf, df) == 0.0
+        assert student_t_two_sided_p(1e200, df) == 0.0
+
+
+def test_student_t_two_sided_p_large_df():
+    for t in _T_GRID:
+        expected = 2 * student_t.sf(t, 10_000)
+        if expected >= 1e-300:
+            assert student_t_two_sided_p(t, 10_000) == pytest.approx(expected, rel=1e-9), t
 
 
 # --- chi-square tail: the finite sum for integer df ---
