@@ -130,8 +130,8 @@ def student_t_two_sided_p(t: float, df: int) -> float:
         return 0.0
     # The tail is I_x(a, 1/2) with a = df/2 and x = df/(df + t^2). y = 1 - x is
     # formed on its own, so a small t is not lost to the rounding of x. Below
-    # the split (a + 1)/(a + 2.5) the series for I_x(a, 1/2) converges fast;
-    # above it, the series for 1 - I_x(a, 1/2) = I_y(1/2, a) does.
+    # the split (a + 1)/(a + 2.5) the series for I_x(a, 1/2) converges; above
+    # it, the series for 1 - I_x(a, 1/2) = I_y(1/2, a) does.
     x = df / (df + t2)
     y = t2 / (df + t2)
     if y == 0.0:
