@@ -46,7 +46,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lenient", action="store_true",
                         help="skip and count invalid lines instead of aborting on the first")
     parser.add_argument("--jobs", type=int, choices=[1],
-                        help="accepts only 1; kept so that existing scripts passing --jobs 1 still run")
+                        help="accepted and ignored: analyze picks its own worker count; accepts "
+                             "only 1, kept so that existing scripts passing --jobs 1 still run")
 
 
 def _add_config_overrides(parser: argparse.ArgumentParser) -> None:

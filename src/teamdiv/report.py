@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import threading
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
@@ -188,32 +190,73 @@ def compute_paper_metrics(
     next paper. Each vector is dropped right after its author's last paper of
     the year is scored, so only the vectors of authors with a paper still to
     score that year are alive. A caller's ``profiles`` dict serves every year
-    instead, receives each vector it lacks and keeps them all. ``jobs``
-    accepts only 1; it is kept because existing callers still pass ``jobs=1``.
+    instead, receives each vector it lacks and keeps them all.
+
+    With at least two years, two CPUs to run on, ``os.fork`` and no other
+    thread alive, the years are split into two sets of near-equal
+    authorships, and one forked worker scores one set while this process
+    scores the other (see ``worker.score_in_two_processes``); otherwise every year
+    is scored here. The metrics and the vectors a ``profiles`` dict receives
+    are the same either way. ``jobs`` accepts only 1; it is kept because
+    existing callers still pass ``jobs=1``.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
-    vector = _get_or_build(corpus, config)
+    papers_by_year = _papers_by_year(corpus, paper_ids)
+    two_processes = _can_fork(len(papers_by_year))
+    background = None
+    if two_processes:
+        # compiled on the first fork, so validate and one-process runs never load it
+        from . import worker
+
+        keys = worker.authorships(papers_by_year, papers_by_year)
+        if profiles is None or any(key not in profiles for key in keys):
+            # computed once, before the fork, instead of once in each process
+            background = background_distribution(corpus)
+    vector = _get_or_build(corpus, config, background)
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
-    metrics: list[PaperDiversity] = []
-    for year, papers in _papers_by_year(corpus, paper_ids).items():
-        if profiles is None:
-            store = {}
-            # the index of each author's last paper this year
-            last = {author: i for i, paper in enumerate(papers) for author in paper.authors}
-        else:
-            store, last = profiles, None
-        for i, paper in enumerate(papers):
-            team = [vector(store, author, year) for author in paper.authors]
-            metrics.append(paper_diversity(paper.id, team, threshold, inclusive=inclusive))
-            del team  # else it keeps the vectors dropped below alive while the next is built
-            if last is not None:
-                for author in paper.authors:
-                    if last[author] == i:
-                        del store[author, year]
+
+    def score(years: Iterable[int]) -> list[PaperDiversity]:
+        metrics: list[PaperDiversity] = []
+        for year in years:
+            papers = papers_by_year[year]
+            if profiles is None:
+                store = {}
+                # the index of each author's last paper this year
+                last = {author: i for i, paper in enumerate(papers) for author in paper.authors}
+            else:
+                store, last = profiles, None
+            for i, paper in enumerate(papers):
+                team = [vector(store, author, year) for author in paper.authors]
+                metrics.append(paper_diversity(paper.id, team, threshold, inclusive=inclusive))
+                del team  # else it keeps the vectors dropped below alive while the next is built
+                if last is not None:
+                    for author in paper.authors:
+                        if last[author] == i:
+                            del store[author, year]
+        return metrics
+
+    if two_processes:
+        metrics = worker.score_in_two_processes(score, papers_by_year, profiles)
+    else:
+        metrics = score(papers_by_year)
     metrics.sort(key=attrgetter("paper_id"))
     return metrics
+
+
+def _can_fork(n_years: int) -> bool:
+    """Whether ``compute_paper_metrics`` forks a worker: two years to split,
+    two CPUs this process may run on, and no thread but this one, which is
+    the only one a forked child would keep."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        n_years >= 2
+        and hasattr(os, "fork")
+        and affinity is not None
+        and len(affinity(0)) >= 2
+        and threading.active_count() == 1
+    )
 
 
 def max_distance_histogram(distances: Iterable[float]) -> Histogram:

@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -55,3 +56,29 @@ def small_corpus():
         record("p5", 2013, ["alice", "bob"], ["ml"]),
     ]
     return load_records(records)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes this process see n CPUs it may run on. With one,
+    ``compute_paper_metrics`` scores every year in this process, where a spy
+    patched in by the test sees each call; with two it forks a worker."""
+
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return see
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of forks made while the test runs, one entry each, seen by the parent."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append("fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made

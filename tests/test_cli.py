@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import random
@@ -525,6 +526,71 @@ def test_jobs_flag_never_changes_output(tmp_path):
     assert main(["analyze", corpus, "--output", str(dir_a)]) == 0
     assert main(["analyze", corpus, "--jobs", "1", "--output", str(dir_b)]) == 0
     assert snapshot(dir_a) == snapshot(dir_b)
+
+
+@pytest.fixture(scope="module")
+def synth_corpus_path(tmp_path_factory):
+    """A synth corpus whose analysis papers span six years."""
+    out = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--seed", "1", "--papers", "300", "--authors", "900",
+                 "--output", str(out)]) == 0
+    return out / "corpus.jsonl"
+
+
+def test_analyze_writes_the_same_bytes_with_one_cpu_and_two(
+    synth_corpus_path, tmp_path, monkeypatch, capfd, cpus, forks
+):
+    capfd.readouterr()
+    outputs = []
+    for n in (1, 2):
+        cpus(n)
+        run = tmp_path / f"cpus-{n}"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["analyze", str(synth_corpus_path), "--output", "out",
+                     "--dump-metrics", "metrics.csv", "--dump-profiles", "profiles.jsonl"]) == 0
+        outputs.append((capfd.readouterr(), snapshot(run)))
+        assert forks == ["fork"] * (n - 1)
+    assert len(outputs[0][1]) == 10  # 3 tables, 3 figures, report.md, config.json, 2 dumps
+    assert outputs[0] == outputs[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_analyze_prints_each_line_once_and_the_skipped_count_before_the_fork(
+    synth_corpus_path, tmp_path, monkeypatch, capfd, cpus
+):
+    """With stdout block-buffered, as when it is a file, a worker that flushed
+    its inherited copy of the buffer would print the skipped count twice."""
+    events = []  # the text written to stdout, and fork_marker where the fork happened
+    fork_marker = object()
+    real_fork = os.fork
+
+    def fork():
+        events.append(fork_marker)
+        return real_fork()
+
+    class Recorded(io.TextIOWrapper):
+        def write(self, text):
+            events.append(text)
+            return super().write(text)
+
+    capfd.readouterr()
+    cpus(2)
+    monkeypatch.setattr(os, "fork", fork)
+    with Recorded(open(os.dup(1), "wb"), encoding="utf-8") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["analyze", str(synth_corpus_path), "--output", str(tmp_path / "out")]) == 0
+        monkeypatch.undo()
+    out = capfd.readouterr().out
+    assert events.count(fork_marker) == 1
+    fork_at = events.index(fork_marker)
+    assert "".join(events[:fork_at]) == "records skipped: 0\n"
+    lines = out.splitlines()
+    assert out == "".join(e for e in events if e is not fork_marker)
+    assert len(lines) == len(set(lines)) >= 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("value", ["2", "0", "-3"])

@@ -2,9 +2,12 @@ import csv
 import gc
 import json
 import math
+import os
 import random
 import re
 import statistics
+import threading
+import warnings
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -270,7 +273,8 @@ def test_year_by_year_metrics_equal_metrics_from_all_profiles():
     assert [m.paper_id for m in year_by_year] == ["p1", "p2", "p3", "p4", "p5", "p6"]
 
 
-def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
+def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch, cpus):
+    cpus(1)
     corpus = _multi_year_corpus()
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
@@ -305,7 +309,8 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch):
     assert cycles == 0
 
 
-def test_each_vector_is_gone_once_its_authors_last_paper_of_the_year_is_scored(monkeypatch):
+def test_each_vector_is_gone_once_its_authors_last_paper_of_the_year_is_scored(monkeypatch, cpus):
+    cpus(1)
     corpus = _same_year_corpus()
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
@@ -409,6 +414,99 @@ def test_compute_paper_metrics_accepts_only_one_job(jobs):
     selected = select_analysis_set(corpus, config)
     with pytest.raises(ValueError, match="jobs must be 1"):
         compute_paper_metrics(corpus, config, selected, jobs=jobs)
+
+
+def test_one_and_two_workers_give_the_same_metrics_and_profiles(cpus, forks):
+    corpus = _synth_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    assert len({corpus.by_id[i].year for i in selected}) == 6
+    complete = build_profiles(corpus, config, selected)
+    given = dict(sorted(complete.items())[::2])  # a caller's dict holding every other vector
+    runs = []
+    for n in (1, 2):
+        cpus(n)
+        empty, partial = {}, dict(given)
+        metrics = [
+            compute_paper_metrics(corpus, config, selected),
+            compute_paper_metrics(corpus, config, selected, profiles=empty),
+            compute_paper_metrics(corpus, config, selected, profiles=partial),
+        ]
+        assert all(partial[key] is vector for key, vector in given.items())
+        # the dump writes each vector's entries in their order, so compare that too
+        runs.append((metrics, [{k: list(v.entries.items()) for k, v in d.items()}
+                               for d in (empty, partial)]))
+    assert forks == ["fork"] * 3
+    assert runs[0] == runs[1]
+    (metrics, dicts) = runs[1]
+    assert metrics[0] == metrics[1] == metrics[2]
+    assert dicts[0] == dicts[1] == {k: list(v.entries.items()) for k, v in complete.items()}
+
+
+def test_one_analysis_year_is_scored_without_a_fork(cpus, monkeypatch):
+    corpus = _multi_year_corpus()
+    config = AnalysisConfig()
+    one_year = [i for i in select_analysis_set(corpus, config) if corpus.by_id[i].year == 2013]
+    expected = compute_paper_metrics(corpus, config, one_year)
+    cpus(2)
+
+    def no_fork():
+        raise AssertionError("forked for one year")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert compute_paper_metrics(corpus, config, one_year) == expected
+    assert [m.paper_id for m in expected] == ["p1", "p4"]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_an_error_in_any_year_reaches_the_caller_and_leaves_no_process(
+    cpus, forks, monkeypatch, error
+):
+    corpus = _multi_year_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    years = {paper_id: corpus.by_id[paper_id].year for paper_id in selected}
+    real_paper_diversity = report.paper_diversity
+    cpus(2)
+    # the worker scores one set of years and this process the other, so the
+    # failing year is in each in turn
+    for year in sorted(set(years.values())):
+
+        def failing(paper_id, *args, **kwargs):
+            if years[paper_id] == year:
+                raise error(f"cannot score {year}")
+            return real_paper_diversity(paper_id, *args, **kwargs)
+
+        monkeypatch.setattr(report, "paper_diversity", failing)
+        with pytest.raises(error, match=f"cannot score {year}"):
+            compute_paper_metrics(corpus, config, selected)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert forks == ["fork"] * 3
+
+
+def test_a_second_thread_keeps_scoring_in_this_process(cpus, forks):
+    corpus = _multi_year_corpus()
+    config = AnalysisConfig()
+    selected = select_analysis_set(corpus, config)
+    cpus(1)
+    expected = compute_paper_metrics(corpus, config, selected)
+    cpus(2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        # Python 3.12+ warns (DeprecationWarning) on a fork with threads alive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = compute_paper_metrics(corpus, config, selected)
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    assert metrics == expected
+    assert compute_paper_metrics(corpus, config, selected) == expected
+    assert forks == ["fork"]
 
 
 def test_aggregate_is_independent_of_metric_order():
