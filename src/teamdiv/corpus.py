@@ -29,16 +29,22 @@ found by bisection.
 """
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import logging
+import os
 import re
+import stat
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, count
 from operator import attrgetter
 from pathlib import Path
+from typing import TextIO
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +71,8 @@ class CorpusValidationError(ValueError):
 
     def __init__(self, position: int, message: str):
         super().__init__(f"record {position}: {message}")
+        self.position = position
+        self.reason = message
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,7 +348,13 @@ def _check_escapes(position: int, raw: dict) -> None:
         raise CorpusValidationError(position, "invalid UTF-8") from None
 
 
-def _check_records(lines: Iterable[str]) -> Iterator[dict | CorpusValidationError]:
+def _duplicate_id(paper_id: str) -> str:
+    return f"duplicate paper id {paper_id!r}"
+
+
+def _check_records(
+    lines: Iterable[str], numbers: Iterator[int] | None = None, seen: set[str] | None = None
+) -> Iterator[dict | CorpusValidationError]:
     """Yield each JSONL record in order, as its checked object or as the error rejecting it.
 
     Records are numbered by physical line; blank lines are skipped but
@@ -349,9 +363,15 @@ def _check_records(lines: Iterable[str]) -> Iterator[dict | CorpusValidationErro
     rejects, and only to word its ``invalid JSON`` error. Only a line holding
     a ``\\u`` escape can decode to a lone surrogate, so only those lines are
     searched for one.
+
+    Each line read takes its number from ``numbers`` (1, 2, ... by default),
+    and each accepted id is added to ``seen`` (a new set by default); a caller
+    that passes its own learns from them how many lines were read and which
+    ids were accepted.
     """
-    seen: set[str] = set()
-    for position, line in enumerate(lines, start=1):
+    if seen is None:
+        seen = set()
+    for line, position in zip(lines, count(1) if numbers is None else numbers):
         if not (line := line.strip()):
             continue
         try:
@@ -360,7 +380,7 @@ def _check_records(lines: Iterable[str]) -> Iterator[dict | CorpusValidationErro
             if "\\u" in line:
                 _check_escapes(position, raw)
             if paper_id in seen:
-                raise CorpusValidationError(position, f"duplicate paper id {paper_id!r}")
+                raise CorpusValidationError(position, _duplicate_id(paper_id))
         except CorpusValidationError as exc:
             yield exc
             continue
@@ -418,9 +438,128 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
 
 
 def validate_jsonl(path: str | Path) -> list[CorpusValidationError]:
-    """Report every violation in a JSONL file, keyed by line number; builds no records."""
+    """Report every violation in a JSONL file, keyed by line number; builds no records.
+
+    A regular file with a newline at or past the middle of its bytes, and
+    before its last byte, is split just after that newline when
+    ``fork.can_fork()`` holds. A forked worker then checks the lines after the
+    split while this process checks those before it, each with its own
+    duplicate-id check, and this process flags each id the worker accepted
+    that it accepted too. The errors, their order and their line numbers are
+    those of one process. Any other file is checked here, line by line.
+    """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        split = _split_offset(handle.fileno())
+        if split is not None:
+            from .fork import can_fork
+
+            if can_fork():
+                return _validate_in_two_processes(handle, split)
         return [e for e in _check_records(handle) if isinstance(e, CorpusValidationError)]
+
+
+_CHUNK_BYTES = 1 << 16
+
+
+def _split_offset(fd: int) -> int | None:
+    """The offset just past the first newline at or after the middle of a
+    regular file, or None when the file is not regular or no such newline
+    comes before its last byte.
+
+    A newline byte ends a line in universal-newline mode, and no UTF-8
+    sequence holds one, so the split falls on a line boundary.
+    """
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    offset = info.st_size // 2
+    while chunk := os.pread(fd, _CHUNK_BYTES, offset):
+        if (found := chunk.find(b"\n")) >= 0:
+            split = offset + found + 1
+            return split if split < info.st_size else None
+        offset += len(chunk)
+    return None
+
+
+def _head_lines(fd: int, end: int) -> Iterator[list[str]]:
+    """The lines of an open file before byte ``end``, which follows a newline,
+    a chunk's worth at a time and without their line ends, as a text file in
+    universal-newline mode reads them. Reads with ``os.pread``, which leaves
+    the file offset a forked worker shares untouched."""
+    decoder = io.IncrementalNewlineDecoder(_utf8_decoder("surrogateescape"), translate=True)
+    partial = ""
+    offset = 0
+    while offset < end and (chunk := os.pread(fd, min(_CHUNK_BYTES, end - offset), offset)):
+        offset += len(chunk)
+        lines = (partial + decoder.decode(chunk)).split("\n")
+        partial = lines.pop()
+        yield lines
+
+
+_utf8_decoder = codecs.getincrementaldecoder("utf-8")
+
+
+def _validate_in_two_processes(handle: TextIO, split: int) -> list[CorpusValidationError]:
+    """``validate_jsonl`` with the lines after byte ``split`` checked by a forked worker."""
+    from .fork import in_two_processes
+
+    numbers = count(1)
+    seen: set[str] = set()
+
+    def check_head() -> list[CorpusValidationError]:
+        checked = _check_records(chain.from_iterable(_head_lines(handle.fileno(), split)),
+                                 numbers, seen)
+        return [e for e in checked if isinstance(e, CorpusValidationError)]
+
+    errors, ((positions, reasons), id_positions, *id_frames) = in_two_processes(
+        lambda: _check_tail(handle, split), check_head
+    )
+    lines_before = next(numbers) - 1
+    tail = list(zip(positions, reasons))
+    if not all(map(seen.isdisjoint, id_frames)):
+        # an id accepted in both halves is a duplicate at its line after the split
+        ids = chain.from_iterable(id_frames)
+        tail.extend(
+            (position, _duplicate_id(paper_id))
+            for paper_id, position in zip(ids, memoryview(id_positions).cast("q"))
+            if paper_id in seen
+        )
+        tail.sort()
+    errors.extend(CorpusValidationError(lines_before + p, reason) for p, reason in tail)
+    return errors
+
+
+# ids per frame the worker sends, so this process never holds them all as bytes
+_IDS_PER_FRAME = 1 << 14
+
+
+def _check_tail(handle: TextIO, split: int) -> Iterator[object]:
+    """In the worker: check the lines after byte ``split``, counting the first
+    as line 1. Yields the positions and reasons of their errors, then the
+    positions of the records accepted there as 64-bit ints, then those
+    records' ids, ``_IDS_PER_FRAME`` at a time."""
+    handle.seek(split)
+    line = [0]  # the number of the line read last, so of the record yielded last
+
+    def numbers() -> Iterator[int]:
+        for line[0] in count(1):
+            yield line[0]
+
+    positions: list[int] = []
+    reasons: list[str] = []
+    ids: list[str] = []
+    id_positions = array("q")
+    for item in _check_records(handle, numbers()):
+        if isinstance(item, CorpusValidationError):
+            positions.append(item.position)
+            reasons.append(item.reason)
+        else:
+            ids.append(item["id"])
+            id_positions.append(line[0])
+    yield positions, reasons
+    yield id_positions.tobytes()
+    for i in range(0, len(ids), _IDS_PER_FRAME):
+        yield ids[i : i + _IDS_PER_FRAME]
 
 
 def write_corpus_jsonl(papers: Iterable[PaperRecord], path: str | Path) -> None:

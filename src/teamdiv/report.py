@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import threading
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
@@ -192,21 +190,25 @@ def compute_paper_metrics(
     score that year are alive. A caller's ``profiles`` dict serves every year
     instead, receives each vector it lacks and keeps them all.
 
-    With at least two years, two CPUs to run on, ``os.fork`` and no other
-    thread alive, the years are split into two sets of near-equal
-    authorships, and one forked worker scores one set while this process
-    scores the other (see ``worker.score_in_two_processes``); otherwise every year
-    is scored here. The metrics and the vectors a ``profiles`` dict receives
-    are the same either way. ``jobs`` accepts only 1; it is kept because
-    existing callers still pass ``jobs=1``.
+    With at least two years and ``fork.can_fork()`` (two CPUs to run on,
+    ``os.fork`` and no other thread alive), the years are split into two sets
+    of near-equal authorships, and one forked worker scores one set while this
+    process scores the other (see ``worker.score_in_two_processes``);
+    otherwise every year is scored here. The metrics and the vectors a
+    ``profiles`` dict receives are the same either way. ``jobs`` accepts only
+    1; it is kept because existing callers still pass ``jobs=1``.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
     papers_by_year = _papers_by_year(corpus, paper_ids)
-    two_processes = _can_fork(len(papers_by_year))
+    two_processes = False
+    if len(papers_by_year) >= 2:
+        from .fork import can_fork
+
+        two_processes = can_fork()
     background = None
     if two_processes:
-        # compiled on the first fork, so validate and one-process runs never load it
+        # compiled on the first fork, so one-process runs never load it
         from . import worker
 
         keys = worker.authorships(papers_by_year, papers_by_year)
@@ -243,20 +245,6 @@ def compute_paper_metrics(
         metrics = score(papers_by_year)
     metrics.sort(key=attrgetter("paper_id"))
     return metrics
-
-
-def _can_fork(n_years: int) -> bool:
-    """Whether ``compute_paper_metrics`` forks a worker: two years to split,
-    two CPUs this process may run on, and no thread but this one, which is
-    the only one a forked child would keep."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (
-        n_years >= 2
-        and hasattr(os, "fork")
-        and affinity is not None
-        and len(affinity(0)) >= 2
-        and threading.active_count() == 1
-    )
 
 
 def max_distance_histogram(distances: Iterable[float]) -> Histogram:

@@ -2,22 +2,20 @@
 
 The analysis years are split into two sets of near-equal authorships. One
 forked worker scores one set while the calling process scores the other,
-and the worker sends its results back through a pipe. A vector keyed
-(author, Y) is read only by papers of year Y, so neither process needs a
-vector the other builds.
+and the worker sends its results back through a pipe; the fork, the pipe
+and the error forwarding are ``fork.in_two_processes``, which
+``corpus.validate_jsonl`` calls too. A vector keyed (author, Y) is read only
+by papers of year Y, so neither process needs a vector the other builds.
 """
 from __future__ import annotations
 
-import gc
-import marshal
-import os
 from collections.abc import Callable, Iterable, Iterator
 from operator import attrgetter
-from typing import BinaryIO, NoReturn
 
 from .corpus import PaperRecord
 from .diversity import PaperDiversity, categorize
 from .expertise import ExpertiseVector
+from .fork import in_two_processes
 
 
 def authorships(
@@ -65,36 +63,13 @@ def score_in_two_processes(
     the rows from its own records. When the caller passed ``profiles``, the
     worker also sends the entries of the vectors it built, in the order it built
     them, and this process stores them under the keys of those years it still
-    lacks, taken in the same order. An exception in the worker is raised here
-    with its own type. On any error or interrupt here the worker is killed; it
-    is always reaped before this returns.
+    lacks, taken in the same order. Errors and the worker's end are handled
+    as ``fork.in_two_processes`` says.
     """
     theirs, mine = _split_years(papers_by_year)
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_end)
-        _run_worker(write_end, lambda: _worker_results(score, theirs, papers_by_year, profiles))
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        try:
-            metrics = score(mine)
-            failed = pipe.read(1) == b"\1"
-            received = [frame if failed else marshal.loads(frame) for frame in _frames(pipe)]
-            _, status = os.waitpid(pid, 0)
-            pid = 0
-        finally:
-            if pid:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    if failed:
-        import pickle
-
-        raise pickle.loads(received[0])
-    if os.waitstatus_to_exitcode(status) != 0 or not received:
-        raise ChildProcessError(f"the scoring worker sent no result (wait status {status})")
+    metrics, received = in_two_processes(
+        lambda: _worker_results(score, theirs, papers_by_year, profiles), lambda: score(mine)
+    )
     columns, *vector_frames = received
     papers = [paper for year in theirs for paper in papers_by_year[year]]
     for paper, n_authors, pairs, largest, components, excluded in zip(papers, *columns, strict=True):
@@ -128,40 +103,3 @@ def _worker_results(
     for i in range(0, len(built), _VECTORS_PER_FRAME):
         yield [profiles[key].entries for key in built[i : i + _VECTORS_PER_FRAME]]
 
-
-def _run_worker(write_end: int, results: Callable[[], Iterable[object]]) -> NoReturn:
-    """In the forked worker: write a 0 byte and each result as a frame, or a 1
-    byte and the pickled exception that computing them raised, and leave
-    through ``os._exit`` with that byte as the exit status. So the worker never
-    returns into its caller and never flushes inherited stdio.
-
-    A frame is a result's ``marshal`` bytes, itself marshalled: reading it back
-    costs ``_frames`` one read, where ``marshal.load`` of the result would read
-    once per value.
-    """
-    code = 1
-    try:
-        gc.disable()
-        try:
-            frames, status = [marshal.dumps(result) for result in results()], 0
-        except BaseException as exc:
-            import pickle
-
-            # an exception that does not pickle leaves the pipe empty
-            frames, status = [pickle.dumps(exc)], 1
-        with open(write_end, "wb") as pipe:
-            pipe.write(bytes([status]))
-            for frame in frames:
-                marshal.dump(frame, pipe)
-        code = status
-    finally:
-        os._exit(code)
-
-
-def _frames(pipe: BinaryIO) -> Iterator[bytes]:
-    """The frames ``_run_worker`` wrote, up to the end of the pipe."""
-    while True:
-        try:
-            yield marshal.load(pipe)
-        except EOFError:
-            return

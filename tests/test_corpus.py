@@ -1,5 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,7 +379,8 @@ def test_windows_and_selection_over_a_same_year_tie():
     assert select_analysis_set(corpus, AnalysisConfig(window_years=1)) == {"p"}
 
 
-def test_validate_builds_no_records(tmp_path, monkeypatch):
+def test_validate_builds_no_records(tmp_path, monkeypatch, cpus):
+    cpus(1)  # the spy records only the records built in this process
     built = []
     real = corpus_module.PaperRecord
 
@@ -392,6 +398,170 @@ def test_validate_builds_no_records(tmp_path, monkeypatch):
     assert built == []
     load_corpus(path, strict=False)  # the spy does see the records a load builds
     assert built == ["p1", "p3"]
+
+
+# --- validate in two processes: a forked worker checks the lines after the split ---
+
+
+def _mixed_corpus() -> bytes:
+    """Lines with every kind of line end and of problem, and ids repeated
+    near the start, near the end, and from one end to the other."""
+    good = lambda pid: _line(pid, 2010, ["a"], ["t"])  # noqa: E731
+    lines = [
+        b"\xef\xbb\xbf" + good("bom") + b"\n",
+        good("p1") + b"\r\n",
+        good("p1") + b"\n",  # a repeat near the start
+        b"\n",
+        good("p2") + b"\r",
+        b"   \r\n",
+        b'{"id": "p3\xff", "year": 2010}\n',
+        good("p4") + b"\r",
+        b'{"id": "p\\ud800", "year": 2010, "authors": ["a"], "topics": ["t"]}\n',
+        _nested_line(501).encode() + b"\n",
+        good("p5") + b"\r\n",
+        b"{not json\n",
+        _line("p6", 2010, [], ["t"]) + b"\n",
+        good("p7") + b"\r\n",
+        good("p4") + b"\n",  # repeats p4 from the start ...
+        good("p8") + b"\r",
+        good("p8") + b"\n",  # a repeat near the end
+        b"\r\n",
+        good("p4") + b"\r\n",  # ... and again near the end
+        good("p2") + b"\n",
+        good("p9") + b"\r",
+        good("p9"),
+    ]
+    return b"".join(lines)
+
+
+def test_two_processes_report_what_one_reports_at_every_split(tmp_path, monkeypatch, cpus, forks):
+    path = tmp_path / "corpus.jsonl"
+    data = _mixed_corpus()
+    path.write_bytes(data)
+    cpus(1)
+    one_process = validate_jsonl(path)
+    assert forks == []
+    assert [_position(p) for p in one_process] == [1, 3, 7, 9, 10, 12, 13, 15, 17, 19, 20, 22]
+    assert [_reason(p) for p in one_process if "duplicate" in str(p)] == [
+        f"duplicate paper id {pid!r}" for pid in ("p1", "p4", "p8", "p4", "p2", "p9")
+    ]
+    expected = list(map(str, one_process))
+    splits = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    real_split_offset = corpus_module._split_offset
+    cpus(2)
+    for split in splits:
+        monkeypatch.setattr(corpus_module, "_split_offset", lambda fd, split=split: split)
+        assert [str(p) for p in validate_jsonl(path)] == expected, split
+    assert forks == ["fork"] * len(splits)
+    monkeypatch.setattr(corpus_module, "_split_offset", real_split_offset)
+    middle = data.index(b"\n", len(data) // 2) + 1
+    assert [str(p) for p in validate_jsonl(path)] == expected
+    assert forks == ["fork"] * (len(splits) + 1)
+    with open(path, "rb") as handle:
+        assert corpus_module._split_offset(handle.fileno()) == middle
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_an_error_in_either_half_reaches_the_caller_and_leaves_no_process(
+    tmp_path, monkeypatch, cpus, forks, error
+):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"".join(_line(f"p{i}", 2010, ["a"], ["t"]) + b"\n" for i in range(10)))
+    real_check_record = corpus_module._check_record
+    cpus(2)
+    # p1 is checked by this process and p8 by the worker
+    for failing_id in ("p8", "p1"):
+
+        def failing(position, raw, failing_id=failing_id):
+            if raw["id"] == failing_id:
+                raise error(f"cannot check {failing_id}")
+            return real_check_record(position, raw)
+
+        monkeypatch.setattr(corpus_module, "_check_record", failing)
+        with pytest.raises(error, match=f"cannot check {failing_id}"):
+            validate_jsonl(path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert forks == ["fork"] * 2
+
+
+def _problems(path) -> list[str]:
+    return [str(p) for p in validate_jsonl(path)]
+
+
+_EXPECTED = ["record 2: empty authors in 'p2'", "record 4: duplicate paper id 'p1'"]
+
+
+def _small_corpus() -> bytes:
+    return b"".join(
+        _line(pid, 2010, authors, ["t"]) + b"\n"
+        for pid, authors in [("p1", ["a"]), ("p2", []), ("p3", ["b"]), ("p1", ["c"])]
+    )
+
+
+def test_one_cpu_checks_in_this_process(tmp_path, cpus, forks):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_small_corpus())
+    cpus(1)
+    assert _problems(path) == _EXPECTED
+    assert forks == []
+    cpus(2)
+    assert _problems(path) == _EXPECTED
+    assert forks == ["fork"]
+
+
+def test_a_second_thread_keeps_validate_in_this_process(tmp_path, cpus, forks):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_small_corpus())
+    cpus(2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        # Python 3.12+ warns (DeprecationWarning) on a fork with threads alive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problems = _problems(path)
+    finally:
+        release.set()
+        thread.join()
+    assert problems == _EXPECTED
+    assert forks == []
+
+
+def test_a_fifo_is_checked_in_this_process(tmp_path, cpus, forks):
+    source = tmp_path / "corpus.jsonl"
+    source.write_bytes(_small_corpus())
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    cpus(2)
+    feeder = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())",
+         str(source), str(fifo)]
+    )
+    try:
+        problems = _problems(fifo)
+    finally:
+        assert feeder.wait(timeout=60) == 0
+    assert problems == _EXPECTED
+    assert forks == []
+
+
+def test_a_file_with_no_newline_past_its_middle_is_checked_in_this_process(
+    tmp_path, cpus, forks
+):
+    path = tmp_path / "corpus.jsonl"
+    data = _small_corpus() + _line("p5", 2010, ["d" * 500], ["t"])  # no line end
+    assert data.rindex(b"\n") < len(data) // 2
+    path.write_bytes(data)
+    cpus(2)
+    assert _problems(path) == _EXPECTED
+    path.write_bytes(data + b"\n")  # a newline only as the last byte leaves nothing to split off
+    assert _problems(path) == _EXPECTED
+    assert forks == []
 
 
 _names = st.one_of(st.sampled_from(["ml", "db", "hci", "nlp"]),
