@@ -18,33 +18,30 @@ is decoded by one call to the JSON scanner; ``json.loads`` runs only on a
 line that call rejects, to word its error.
 ``validate_jsonl`` keeps only the errors and builds nothing; ``load_corpus``
 builds a ``PaperRecord`` from each kept object, sharing one object per
-distinct author, topic, topic set and year within the load, and is the only
-code that builds a ``Corpus``. A topic set is held as a tuple of its distinct
-topics in ascending order: nothing tests topic membership, and a tuple of a
-few strings takes a fraction of a frozenset's memory.
+distinct author, author list, topic, topic set and year within the load, and
+is the only code that builds a ``Corpus``. A topic set is held as a tuple of
+its distinct topics in ascending order: nothing tests topic membership, and
+a tuple of a few strings takes a fraction of a frozenset's memory.
 
 The author index maps each author to a tuple of their own ``PaperRecord``
 objects, sorted by (year, id); a window of years is a slice of that tuple
 found by bisection.
+
+``validate_jsonl`` checks a large file in two processes through ``halves``,
+which it imports only when it may fork.
 """
 from __future__ import annotations
 
-import codecs
-import io
 import json
 import logging
-import os
 import re
-import stat
-from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, count
+from itertools import accumulate, count
 from operator import attrgetter
 from pathlib import Path
-from typing import TextIO
 
 log = logging.getLogger(__name__)
 
@@ -225,6 +222,10 @@ class AnalysisConfig:
 class Corpus:
     """Immutable snapshot of parsed publication records.
 
+    Records share their objects: the records of one load that name the same
+    author, the same author list in the same order, the same topic, the same
+    topic set or the same year hold one object for it.
+
     ``author_index`` maps each author to a tuple of the records naming them,
     the same objects as in ``papers``, sorted by (year, id); it is exactly the
     inverse of the authorship relation.
@@ -394,6 +395,10 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
     In strict mode the first invalid record aborts the load; in lenient
     mode invalid records are skipped with a logged warning and counted in
     ``Corpus.skipped``. Record order is preserved.
+
+    Records that repeat an author, a topic, a topic set, a year or an author
+    list as written share one object for it. The tables that find those
+    objects are dropped before the author index is built.
     """
     papers: list[PaperRecord] = []
     skipped = 0
@@ -405,6 +410,11 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
     # misses, is sorted and de-duplicated, and finds or adds that tuple.
     shared: dict = {}
     share = shared.setdefault
+    # One tuple per distinct author list, in the order written, built from the
+    # shared names: a team that publishes again repeats its list. Kept apart
+    # from ``shared``, where a topic list written in that order would find the
+    # unsorted author tuple.
+    teams: dict = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for item in _check_records(handle):
             if isinstance(item, CorpusValidationError):
@@ -419,12 +429,12 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
                 kept = share(kept, kept)
             year = item["year"]
             authors = item["authors"]
+            team = tuple(map(share, authors, authors))
+            team = teams.setdefault(team, team)
             papers.append(
-                PaperRecord(
-                    item["id"], share(year, year), tuple(map(share, authors, authors)), kept,
-                    item.get("citations_5y"),
-                )
+                PaperRecord(item["id"], share(year, year), team, kept, item.get("citations_5y"))
             )
+    del shared, share, teams
     author_index: dict = {}
     for paper in papers:
         for author in paper.authors:
@@ -449,117 +459,16 @@ def validate_jsonl(path: str | Path) -> list[CorpusValidationError]:
     those of one process. Any other file is checked here, line by line.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        split = _split_offset(handle.fileno())
-        if split is not None:
-            from .fork import can_fork
+        from .fork import can_fork
 
-            if can_fork():
-                return _validate_in_two_processes(handle, split)
+        if can_fork():
+            # compiled only here, so analyze and one-process validate never load it
+            from . import halves
+
+            split = halves.split_offset(handle.fileno())
+            if split is not None:
+                return halves.validate_in_two_processes(handle, split)
         return [e for e in _check_records(handle) if isinstance(e, CorpusValidationError)]
-
-
-_CHUNK_BYTES = 1 << 16
-
-
-def _split_offset(fd: int) -> int | None:
-    """The offset just past the first newline at or after the middle of a
-    regular file, or None when the file is not regular or no such newline
-    comes before its last byte.
-
-    A newline byte ends a line in universal-newline mode, and no UTF-8
-    sequence holds one, so the split falls on a line boundary.
-    """
-    info = os.fstat(fd)
-    if not stat.S_ISREG(info.st_mode):
-        return None
-    offset = info.st_size // 2
-    while chunk := os.pread(fd, _CHUNK_BYTES, offset):
-        if (found := chunk.find(b"\n")) >= 0:
-            split = offset + found + 1
-            return split if split < info.st_size else None
-        offset += len(chunk)
-    return None
-
-
-def _head_lines(fd: int, end: int) -> Iterator[list[str]]:
-    """The lines of an open file before byte ``end``, which follows a newline,
-    a chunk's worth at a time and without their line ends, as a text file in
-    universal-newline mode reads them. Reads with ``os.pread``, which leaves
-    the file offset a forked worker shares untouched."""
-    decoder = io.IncrementalNewlineDecoder(_utf8_decoder("surrogateescape"), translate=True)
-    partial = ""
-    offset = 0
-    while offset < end and (chunk := os.pread(fd, min(_CHUNK_BYTES, end - offset), offset)):
-        offset += len(chunk)
-        lines = (partial + decoder.decode(chunk)).split("\n")
-        partial = lines.pop()
-        yield lines
-
-
-_utf8_decoder = codecs.getincrementaldecoder("utf-8")
-
-
-def _validate_in_two_processes(handle: TextIO, split: int) -> list[CorpusValidationError]:
-    """``validate_jsonl`` with the lines after byte ``split`` checked by a forked worker."""
-    from .fork import in_two_processes
-
-    numbers = count(1)
-    seen: set[str] = set()
-
-    def check_head() -> list[CorpusValidationError]:
-        checked = _check_records(chain.from_iterable(_head_lines(handle.fileno(), split)),
-                                 numbers, seen)
-        return [e for e in checked if isinstance(e, CorpusValidationError)]
-
-    errors, ((positions, reasons), id_positions, *id_frames) = in_two_processes(
-        lambda: _check_tail(handle, split), check_head
-    )
-    lines_before = next(numbers) - 1
-    tail = list(zip(positions, reasons))
-    if not all(map(seen.isdisjoint, id_frames)):
-        # an id accepted in both halves is a duplicate at its line after the split
-        ids = chain.from_iterable(id_frames)
-        tail.extend(
-            (position, _duplicate_id(paper_id))
-            for paper_id, position in zip(ids, memoryview(id_positions).cast("q"))
-            if paper_id in seen
-        )
-        tail.sort()
-    errors.extend(CorpusValidationError(lines_before + p, reason) for p, reason in tail)
-    return errors
-
-
-# ids per frame the worker sends, so this process never holds them all as bytes
-_IDS_PER_FRAME = 1 << 14
-
-
-def _check_tail(handle: TextIO, split: int) -> Iterator[object]:
-    """In the worker: check the lines after byte ``split``, counting the first
-    as line 1. Yields the positions and reasons of their errors, then the
-    positions of the records accepted there as 64-bit ints, then those
-    records' ids, ``_IDS_PER_FRAME`` at a time."""
-    handle.seek(split)
-    line = [0]  # the number of the line read last, so of the record yielded last
-
-    def numbers() -> Iterator[int]:
-        for line[0] in count(1):
-            yield line[0]
-
-    positions: list[int] = []
-    reasons: list[str] = []
-    ids: list[str] = []
-    id_positions = array("q")
-    for item in _check_records(handle, numbers()):
-        if isinstance(item, CorpusValidationError):
-            positions.append(item.position)
-            reasons.append(item.reason)
-        else:
-            ids.append(item["id"])
-            id_positions.append(line[0])
-    yield positions, reasons
-    yield id_positions.tobytes()
-    for i in range(0, len(ids), _IDS_PER_FRAME):
-        yield ids[i : i + _IDS_PER_FRAME]
 
 
 def write_corpus_jsonl(papers: Iterable[PaperRecord], path: str | Path) -> None:

@@ -1,9 +1,10 @@
 """Running work in two processes: one forked worker and the calling process.
 
 ``can_fork`` is the one gate, and ``in_two_processes`` the one fork: scoring
-(``worker.score_in_two_processes``) and ``corpus.validate_jsonl`` both call
-them. This module imports nothing from the package, so ``corpus`` can import
-it, and each caller imports it only when it may fork.
+(``worker.score_in_two_processes``) and validation
+(``halves.validate_in_two_processes``) both call them. This module imports
+nothing from the package, so ``corpus`` can import it to ask ``can_fork``
+before it imports ``halves``.
 """
 from __future__ import annotations
 

@@ -122,8 +122,11 @@ class AnalysisReport:
 
 
 def _papers_by_year(corpus: Corpus, paper_ids: Iterable[str]) -> dict[int, list[PaperRecord]]:
-    """The records of the given ids grouped by year, from one pass over the corpus."""
-    wanted = set(paper_ids)
+    """The records of the given ids grouped by year, from one pass over the corpus.
+
+    A set of ids is read as it is; any other iterable is copied into one.
+    """
+    wanted = paper_ids if isinstance(paper_ids, (set, frozenset)) else set(paper_ids)
     papers_by_year: dict[int, list[PaperRecord]] = {}
     for paper in corpus.papers:
         if paper.id in wanted:
@@ -330,15 +333,16 @@ def homogeneity_comparisons(
 
 
 def _bucket_stats(
-    bucket: CitationBucket, tally: Sequence[tuple[int, PaperDiversity]]
+    bucket: CitationBucket, citations: Sequence[int], metrics: Sequence[PaperDiversity]
 ) -> BucketStats:
-    """Aggregates of one bucket from its (citation count, metrics) pairs."""
-    distances = [m.max_distance for _, m in tally]
-    categories = Counter([m.category for _, m in tally])
+    """Aggregates of one bucket from its papers' citation counts and metrics,
+    in the same order."""
+    distances = [m.max_distance for m in metrics]
+    categories = Counter([m.category for m in metrics])
     return BucketStats(
         bucket=bucket,
-        n_papers=len(tally),
-        citation_median=median([cited for cited, _ in tally]) if tally else None,
+        n_papers=len(metrics),
+        citation_median=median(citations) if citations else None,
         zeros=distances.count(0.0),
         ones=distances.count(1.0),
         category_counts=tuple(categories[c] for c in CATEGORIES),
@@ -355,6 +359,9 @@ def aggregate_report(
     Deterministic given corpus and config; metrics may arrive in any order.
     A statistic whose computation raises ValueError is left out (None, or
     empty) with the warning "<name> unavailable: <reason>".
+
+    Each bucket is tallied as a list of its papers' citation counts and a
+    list of their metrics, the metric objects given, not copies.
     """
     if not metrics:
         raise EmptyAnalysisSetError("no papers to aggregate")
@@ -364,8 +371,8 @@ def aggregate_report(
     for paper in corpus.papers:
         if paper.id in citations:
             citations[paper.id] = paper.citations_5y
-    tallies: dict[CitationBucket, list[tuple[int, PaperDiversity]]] = {
-        b: [] for b in config.buckets
+    tallies: dict[CitationBucket, tuple[list[int], list[PaperDiversity]]] = {
+        b: ([], []) for b in config.buckets
     }
     for m in metrics:
         cited = citations[m.paper_id]
@@ -373,13 +380,14 @@ def aggregate_report(
             raise ValueError(f"paper {m.paper_id!r} is not in the corpus")
         if cited is None:
             raise ValueError(f"paper {m.paper_id!r} has no citation count")
-        for bucket, tally in tallies.items():
+        for bucket, (counts, tallied) in tallies.items():
             if bucket.contains(cited):
                 break
         else:
             raise ValueError(f"paper {m.paper_id!r} fits no citation bucket")
-        tally.append((cited, m))
-    bucket_stats = [_bucket_stats(b, tally) for b, tally in tallies.items()]
+        counts.append(cited)
+        tallied.append(m)
+    bucket_stats = [_bucket_stats(b, *tally) for b, tally in tallies.items()]
     # every paper landed in a bucket, so at least one is nonempty
     usable = [s for s in bucket_stats if s.n_papers > 0]
 
@@ -456,6 +464,7 @@ def run_analysis(
     if not selected:
         raise EmptyAnalysisSetError("no papers satisfy the selection constraints")
     metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
+    del selected  # not read again, so freed before aggregating
     return aggregate_report(corpus, config, metrics)
 
 

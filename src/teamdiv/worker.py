@@ -4,7 +4,7 @@ The analysis years are split into two sets of near-equal authorships. One
 forked worker scores one set while the calling process scores the other,
 and the worker sends its results back through a pipe; the fork, the pipe
 and the error forwarding are ``fork.in_two_processes``, which
-``corpus.validate_jsonl`` calls too. A vector keyed (author, Y) is read only
+``halves.validate_in_two_processes`` calls too. A vector keyed (author, Y) is read only
 by papers of year Y, so neither process needs a vector the other builds.
 """
 from __future__ import annotations

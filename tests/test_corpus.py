@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import teamdiv.corpus as corpus_module
+import teamdiv.halves as halves_module
 from teamdiv.corpus import (
     AnalysisConfig,
     CorpusValidationError,
@@ -343,6 +344,30 @@ def test_repeated_authors_are_one_object(via):
     assert keys["alan"] is p3.authors[0]
 
 
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_repeated_author_lists_are_one_tuple(strict):
+    records = [
+        record("p1", 2010, ["ada", "grace"], ["ml"]),
+        record("p2", 2011, ["grace", "ada"], ["ml"]),
+        record("p3", 2012, ["ada", "grace"], ["db"], citations=3),
+        record("p4", 2013, ["grace", "ada"], ["db"]),
+        # a later record's topic list written as this author list
+        record("p5", 2013, ["t2", "t1"], ["db"]),
+        record("p6", 2014, ["ada"], ["t2", "t1"]),
+    ]
+    if not strict:
+        records.insert(2, record("bad", "2011", ["ada", "grace"], ["ml"]))
+    corpus = load_records(records, strict=strict)
+    assert corpus.skipped == (0 if strict else 1)
+    p1, p2, p3, p4, p5, p6 = corpus.papers
+    assert p1.authors == ("ada", "grace") and p1.authors is p3.authors
+    assert p2.authors == ("grace", "ada") and p2.authors is p4.authors
+    assert p1.authors is not p2.authors
+    assert p1.authors[0] is p2.authors[1]
+    assert p5.authors == ("t2", "t1")
+    assert p6.topics == ("t1", "t2")
+
+
 # --- the author index and windows over it ---
 
 # Out of (year, id) order on purpose; "ada" has three papers in 2012.
@@ -447,18 +472,18 @@ def test_two_processes_report_what_one_reports_at_every_split(tmp_path, monkeypa
     ]
     expected = list(map(str, one_process))
     splits = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-    real_split_offset = corpus_module._split_offset
+    real_split_offset = halves_module.split_offset
     cpus(2)
     for split in splits:
-        monkeypatch.setattr(corpus_module, "_split_offset", lambda fd, split=split: split)
+        monkeypatch.setattr(halves_module, "split_offset", lambda fd, split=split: split)
         assert [str(p) for p in validate_jsonl(path)] == expected, split
     assert forks == ["fork"] * len(splits)
-    monkeypatch.setattr(corpus_module, "_split_offset", real_split_offset)
+    monkeypatch.setattr(halves_module, "split_offset", real_split_offset)
     middle = data.index(b"\n", len(data) // 2) + 1
     assert [str(p) for p in validate_jsonl(path)] == expected
     assert forks == ["fork"] * (len(splits) + 1)
     with open(path, "rb") as handle:
-        assert corpus_module._split_offset(handle.fileno()) == middle
+        assert halves_module.split_offset(handle.fileno()) == middle
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

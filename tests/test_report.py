@@ -516,7 +516,12 @@ def test_aggregate_is_independent_of_metric_order():
     shuffled = list(metrics)
     random.Random(3).shuffle(shuffled)
     assert shuffled != metrics
-    assert aggregate_report(corpus, config, shuffled) == aggregate_report(corpus, config, metrics)
+    report = aggregate_report(corpus, config, metrics)
+    assert aggregate_report(corpus, config, shuffled) == report
+    # metrics come sorted by id from compute_paper_metrics; reversed, every bucket's tally is too
+    assert [m.paper_id for m in metrics] == sorted(m.paper_id for m in metrics)
+    assert aggregate_report(corpus, config, metrics[::-1]) == report
+    assert report.metrics == metrics
 
 
 def test_aggregate_rejects_a_paper_without_a_bucket():
