@@ -14,8 +14,9 @@ deep is ``invalid JSON`` wherever the load is called from.
 
 Every record enters through one path: a generator decodes and checks each
 JSONL line and yields the decoded object or the error rejecting it. A line
-is decoded by one call to the JSON scanner; ``json.loads`` runs only on a
-line that call rejects, to word its error.
+is decoded by ``orjson``; only a line that ``orjson`` or the schema check
+rejects is decided again by ``json.loads``, so the records accepted and the
+reasons given are those of the standard library's decoder.
 ``validate_jsonl`` keeps only the errors and builds nothing; ``load_corpus``
 builds a ``PaperRecord`` from each kept object, sharing one object per
 distinct author, author list, topic, topic set and year within the load, and
@@ -296,8 +297,6 @@ def _check_record(position: int, raw: object) -> str:
     return paper_id
 
 
-_scan = json.JSONDecoder().raw_decode
-
 # The JSON scanner recurses once per array or object level, so without a
 # bound of its own a line's validity would depend on how much of Python's
 # recursion limit the caller's stack has left. A record nests two levels.
@@ -315,6 +314,7 @@ def _nested_too_deep(line: str) -> bool:
 
 
 def _decode_line(lineno: int, line: str) -> object:
+    # The exact path, for the lines orjson or the schema check rejected.
     # Lines are read with errors="surrogateescape", so an undecodable byte
     # is a lone surrogate that cannot re-encode. isascii() is O(1).
     if not line.isascii():
@@ -325,14 +325,6 @@ def _decode_line(lineno: int, line: str) -> object:
     # A line no longer than the bound cannot nest deeper than it.
     if len(line) > _MAX_DEPTH and _nested_too_deep(line):
         raise CorpusValidationError(lineno, f"invalid JSON: nested deeper than {_MAX_DEPTH} levels")
-    try:
-        value, end = _scan(line)
-        if end == len(line):
-            return value
-    except (ValueError, RecursionError):
-        pass
-    # The line is stripped, so json.loads rejects it too; it runs only to
-    # word the error (a BOM, extra data, ...).
     try:
         return json.loads(line)
     except (ValueError, RecursionError) as exc:  # also the int-digit limit
@@ -359,25 +351,43 @@ def _check_records(
     """Yield each JSONL record in order, as its checked object or as the error rejecting it.
 
     Records are numbered by physical line; blank lines are skipped but
-    counted. Each stripped line is decoded by one scanner call, which must
-    consume the whole line; ``json.loads`` runs only on a line that call
-    rejects, and only to word its ``invalid JSON`` error. Only a line holding
-    a ``\\u`` escape can decode to a lone surrogate, so only those lines are
-    searched for one.
+    counted. Each stripped line no deeper than ``_MAX_DEPTH`` is decoded by
+    ``orjson.loads`` and checked against the schema. A line that is too
+    deep, or that ``orjson`` or the schema check rejects, is decided again
+    by ``_decode_line`` (``json.loads``) and the schema check: ``orjson``
+    rejects ``NaN``, ``Infinity``, numbers beyond a double, lone-surrogate
+    escapes and surrogate-escaped bytes, which ``json.loads`` accepts, and
+    turns some integers wider than 64 bits into floats, which the schema
+    rejects as a year or citation count. So every accepted record and every
+    reason is the one the standard library's decoder gives. Only a line
+    holding a ``\\u`` escape can decode to a lone surrogate, so only those
+    lines are searched for one.
 
     Each line read takes its number from ``numbers`` (1, 2, ... by default),
     and each accepted id is added to ``seen`` (a new set by default); a caller
     that passes its own learns from them how many lines were read and which
     ids were accepted.
     """
+    # imported here, so commands that never read a corpus never load it
+    import orjson
+
+    loads = orjson.loads
     if seen is None:
         seen = set()
     for line, position in zip(lines, count(1) if numbers is None else numbers):
         if not (line := line.strip()):
             continue
         try:
-            raw = _decode_line(position, line)
-            paper_id = _check_record(position, raw)
+            try:
+                # orjson accepts up to 1,024 levels, so a line deeper than
+                # the bound goes to _decode_line, which words its reason
+                if len(line) > _MAX_DEPTH and _nested_too_deep(line):
+                    raise ValueError
+                raw = loads(line)
+                paper_id = _check_record(position, raw)
+            except ValueError:  # orjson.JSONDecodeError or CorpusValidationError
+                raw = _decode_line(position, line)
+                paper_id = _check_record(position, raw)
             if "\\u" in line:
                 _check_escapes(position, raw)
             if paper_id in seen:

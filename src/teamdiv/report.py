@@ -203,7 +203,16 @@ def compute_paper_metrics(
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
-    papers_by_year = _papers_by_year(corpus, paper_ids)
+    return _score_by_year(corpus, config, _papers_by_year(corpus, paper_ids), profiles)
+
+
+def _score_by_year(
+    corpus: Corpus,
+    config: AnalysisConfig,
+    papers_by_year: dict[int, list[PaperRecord]],
+    profiles: dict[tuple[str, int], ExpertiseVector] | None,
+) -> list[PaperDiversity]:
+    """``compute_paper_metrics`` on papers already grouped by year."""
     two_processes = False
     if len(papers_by_year) >= 2:
         from .fork import can_fork
@@ -460,11 +469,13 @@ def run_analysis(
     The analysis ``teamdiv analyze`` runs. A ``profiles`` dict receives every
     expertise vector scoring builds (see ``compute_paper_metrics``).
     """
-    selected = select_analysis_set(corpus, config)
-    if not selected:
+    # the selected ids are read only to group their records, so the set is
+    # freed before the first vector is built
+    papers_by_year = _papers_by_year(corpus, select_analysis_set(corpus, config))
+    if not papers_by_year:
         raise EmptyAnalysisSetError("no papers satisfy the selection constraints")
-    metrics = compute_paper_metrics(corpus, config, selected, profiles=profiles)
-    del selected  # not read again, so freed before aggregating
+    metrics = _score_by_year(corpus, config, papers_by_year, profiles)
+    del papers_by_year  # not read again, so freed before aggregating
     return aggregate_report(corpus, config, metrics)
 
 

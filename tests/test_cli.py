@@ -280,6 +280,27 @@ def test_validate_and_analyze_never_import_numpy(valid_corpus_path, tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_only_reading_a_corpus_imports_orjson(tmp_path):
+    # orjson serves only ingest; importing the CLI, synth and tables-check must not load it
+    script = (
+        "import sys, teamdiv.cli\n"
+        "print('orjson loaded:', 'orjson' in sys.modules)\n"
+        "assert teamdiv.cli.main(['tables-check']) == 0\n"
+        "assert teamdiv.cli.main(sys.argv[1:]) == 0\n"
+        "print('orjson loaded:', 'orjson' in sys.modules)\n"
+        "assert teamdiv.cli.main(['validate', sys.argv[-1] + '/corpus.jsonl']) == 0\n"
+        "print('orjson loaded:', 'orjson' in sys.modules)\n"
+    )
+    src = str(Path(teamdiv.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script, "synth", "--seed", "1", "--papers", "40",
+         "--authors", "60", "--output", str(tmp_path / "synth")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    loaded = [line for line in result.stdout.splitlines() if line.startswith("orjson loaded:")]
+    assert loaded == ["orjson loaded: False", "orjson loaded: False", "orjson loaded: True"]
+
+
 def test_analyze_writes_the_same_bytes_under_any_hash_seed(tmp_path):
     # str hashes, and so set and dict-of-set orders, differ between processes
     corpus_path = tmp_path / "corpus.jsonl"

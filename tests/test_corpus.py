@@ -4,8 +4,10 @@ import re
 import subprocess
 import sys
 import threading
+import unittest.mock
 import warnings
 
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,9 @@ _BLANK_IDS = [1, 1.5, True, None, [], {}, ""]
         pytest.param(record("p1", 2010, ["a"], []), "empty topics in 'p1'", id="bad2"),
         pytest.param(record("p1", 2010, ["a"], ["t"], citations=-1),
                      "citations_5y must be a nonnegative integer in 'p1'", id="bad3"),
+        # orjson 3.8.3 decodes 2**64 as a float; the standard library's int decides it
+        pytest.param(record("p1", 2010, ["a"], ["t"], citations=2**64),
+                     "citations_5y must be at most 2**53 in 'p1'", id="citations-2-to-the-64"),
         pytest.param({"year": 2010, "authors": ["a"], "topics": ["t"]}, "missing or empty id",
                      id="bad4"),
         *(pytest.param(record("p1", 2010, ["a", value], ["t"]), "blank author id in 'p1'",
@@ -286,11 +291,90 @@ def test_a_valid_line_never_reaches_json_loads(monkeypatch):
 
     monkeypatch.setattr(corpus_module.json, "loads", fail)
     line = json.dumps(record("p1", 2010, ["a"], ["t"], citations=3))
-    assert corpus_module._decode_line(1, line) == json.JSONDecoder().decode(line)
+    assert list(corpus_module._check_records([line])) == [json.JSONDecoder().decode(line)]
+
+
+def test_a_year_wider_than_64_bits_and_nan_in_an_unknown_key_are_accepted():
+    # orjson rejects NaN and may decode 10**20 as a float; the standard
+    # library's decoder accepts both
+    raw = record("p1", 10**20, ["a"], ["t"])
+    raw["venue"] = float("nan")
+    (paper,) = load_records([raw]).papers
+    assert paper.year == 10**20 and type(paper.year) is int
+
+
+# --- the orjson fast path against the standard library's decoder alone ---
+
+# Integers at and past the 53- and 64-bit edges, and numbers orjson rejects.
+_EDGE_NUMBERS = [str(n) for n in (2**63, -2**63, -2**63 - 1, 2**64, 10**20, 2**53, 2**53 + 1)]
+_NUMBER = st.sampled_from([*_EDGE_NUMBERS, "NaN", "1e400", "-Infinity", "2010.0"])
+# A character outside the BMP is a surrogate pair when escaped.
+_NAME = st.text(st.sampled_from(["a", "b", "c", "\xe9", "\U0001f600"]), min_size=1, max_size=3)
+# Escaped with ensure_ascii; written raw without it, where it stands for a
+# byte that is not UTF-8.
+_LONE_SURROGATE = st.sampled_from(["\ud800", "x\udfff", "\udc80"])
+
+
+@st.composite
+def _record_lines(draw):
+    """One JSONL line, mostly a valid record, serialised with or without ensure_ascii."""
+    ensure_ascii = draw(st.booleans())
+
+    def text(value):
+        return json.dumps(value, ensure_ascii=ensure_ascii)
+
+    def name():
+        return draw(_LONE_SURROGATE if draw(st.integers(0, 19)) == 0 else _NAME)
+
+    def names():
+        return "[" + ", ".join(text(name()) for _ in range(draw(st.integers(1, 3)))) + "]"
+
+    def number():
+        return draw(_NUMBER | st.integers(0, 2030).map(str))
+
+    fields = [("id", text(name())), ("year", number()), ("authors", names()), ("topics", names())]
+    if draw(st.booleans()):
+        fields.append(("citations_5y", number()))
+    if draw(st.booleans()):
+        depth = draw(st.sampled_from([2, 500, 501]))  # the record itself is one level
+        fields.append(("x", draw(_NUMBER | st.just("[" * (depth - 1) + "]" * (depth - 1)))))
+    if draw(st.integers(0, 3)) == 0:
+        fields.append(("id", text(name())))  # the last of repeated keys wins
+    fields = draw(st.permutations(fields))
+    line = "{" + ", ".join(f'"{key}": {value}' for key, value in fields) + "}"
+    damage = draw(st.sampled_from(["none"] * 12 + ["bom", "truncated", "trailing"]))
+    if damage == "bom":
+        line = "\ufeff" + line
+    elif damage == "truncated":
+        line = line[: draw(st.integers(1, len(line) - 1))]
+    elif damage == "trailing":
+        line += draw(st.sampled_from([" x", "{}", ", 1"]))
+    return line
+
+
+def _check_outcome(lines):
+    fields = ("id", "year", "authors", "topics", "citations_5y")
+    return [
+        str(item) if isinstance(item, CorpusValidationError)
+        else [(item.get(name), type(item.get(name))) for name in fields]
+        for item in corpus_module._check_records(lines)
+    ]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(_record_lines(), min_size=1, max_size=4))
+def test_the_orjson_fast_path_decides_as_json_loads_alone(lines):
+    def rejects(line):
+        raise orjson.JSONDecodeError("rejected", line, 0)
+
+    fast = _check_outcome(lines)
+    with unittest.mock.patch.object(orjson, "loads", rejects):
+        exact = _check_outcome(lines)
+    assert fast == exact
 
 
 # --- building: one object per distinct topic, topic set and year ---
-# Each line goes through its own scanner call, so no two input records share a
+# Each line goes through its own decoder call, so no two input records share a
 # string or an int object before the corpus is built.
 
 
