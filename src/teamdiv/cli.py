@@ -2,7 +2,8 @@
 
 Flag values override the values of a --config or --params file, which override
 the defaults.
-Exit codes: 0 success, 1 analysis or check failure, 2 I/O or usage error.
+Exit codes: 0 success, 1 analysis or check failure, 2 I/O or usage error, or
+a forked worker that died (such as by a signal) before it sent its results.
 """
 from __future__ import annotations
 
@@ -97,6 +98,8 @@ def _parse_formats(value: str) -> tuple[str, ...]:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         problems = validate_jsonl(args.corpus)
+    except ChildProcessError:
+        raise  # the worker's end, not a read error: main reports it
     except OSError as exc:
         print(f"error: cannot read {args.corpus}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -260,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except EmptyAnalysisSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except ChildProcessError as exc:  # from fork.in_two_processes
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -20,13 +20,16 @@ reasons given are those of the standard library's decoder.
 ``validate_jsonl`` keeps only the errors and builds nothing; ``load_corpus``
 builds a ``PaperRecord`` from each kept object, sharing one object per
 distinct author, author list, topic, topic set and year within the load, and
-is the only code that builds a ``Corpus``. A topic set is held as a tuple of
+is the only code that builds a ``Corpus``. It fills each record through the
+slot setters, not through the frozen class's ``__init__``, which sets each
+field through ``object.__setattr__``. A topic set is held as a tuple of
 its distinct topics in ascending order: nothing tests topic membership, and
 a tuple of a few strings takes a fraction of a frozenset's memory.
 
 The author index maps each author to a tuple of their own ``PaperRecord``
 objects, sorted by (year, id); a window of years is a slice of that tuple
-found by bisection.
+found by bisection. The analysis set is selected and grouped by year in one
+walk over the records, with one bisection per author.
 
 ``validate_jsonl`` checks a large file in two processes through ``halves``,
 which it imports only when it may fork.
@@ -38,7 +41,7 @@ import logging
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, count
 from operator import attrgetter
@@ -82,6 +85,13 @@ class PaperRecord:
     authors: tuple[str, ...]
     topics: tuple[str, ...]
     citations_5y: int | None = None
+
+
+# The slot setters of PaperRecord's fields, in field order. ``load_corpus``
+# fills each record it builds through them: the frozen class's ``__init__``
+# sets every field through ``object.__setattr__``, which costs about as much
+# again. Assignment to a record still raises FrozenInstanceError.
+_RECORD_SETTERS = tuple(getattr(PaperRecord, f.name).__set__ for f in fields(PaperRecord))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,30 +273,34 @@ def _all_nonblank_str(values: list) -> bool:
 
 
 def _check_record(position: int, raw: object) -> str:
-    """Check one decoded record against the schema and return its id."""
-    if not isinstance(raw, dict):
+    """Check one decoded record against the schema and return its id.
+
+    A JSON decoder builds only exact dicts, lists, strs and ints, and a bool
+    is a type of its own, so one identity test decides each field's type.
+    """
+    if type(raw) is not dict:
         raise CorpusValidationError(position, "record is not an object")
     paper_id = raw.get("id")
-    if not isinstance(paper_id, str) or not paper_id:
+    if type(paper_id) is not str or not paper_id:
         raise CorpusValidationError(position, "missing or empty id")
     year = raw.get("year")
-    if isinstance(year, bool) or not isinstance(year, int):
+    if type(year) is not int:
         raise CorpusValidationError(position, f"non-integer year in {paper_id!r}")
     authors = raw.get("authors")
-    if not isinstance(authors, list) or not authors:
+    if type(authors) is not list or not authors:
         raise CorpusValidationError(position, f"empty authors in {paper_id!r}")
     if not _all_nonblank_str(authors):
         raise CorpusValidationError(position, f"blank author id in {paper_id!r}")
     if len(set(authors)) != len(authors):
         raise CorpusValidationError(position, f"duplicate author within {paper_id!r}")
     topics = raw.get("topics")
-    if not isinstance(topics, list) or not topics:
+    if type(topics) is not list or not topics:
         raise CorpusValidationError(position, f"empty topics in {paper_id!r}")
     if not _all_nonblank_str(topics):
         raise CorpusValidationError(position, f"blank topic id in {paper_id!r}")
     citations = raw.get("citations_5y")
     if citations is not None:
-        if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:
+        if type(citations) is not int or citations < 0:
             raise CorpusValidationError(
                 position, f"citations_5y must be a nonnegative integer in {paper_id!r}"
             )
@@ -390,12 +404,14 @@ def _check_records(
                 paper_id = _check_record(position, raw)
             if "\\u" in line:
                 _check_escapes(position, raw)
-            if paper_id in seen:
+            # one hash per id: an id already seen leaves the set's size as it was
+            accepted = len(seen)
+            seen.add(paper_id)
+            if len(seen) == accepted:
                 raise CorpusValidationError(position, _duplicate_id(paper_id))
         except CorpusValidationError as exc:
             yield exc
             continue
-        seen.add(paper_id)
         yield raw
 
 
@@ -409,7 +425,13 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
     Records that repeat an author, a topic, a topic set, a year or an author
     list as written share one object for it. The tables that find those
     objects are dropped before the author index is built.
+
+    Each record is made by ``object.__new__`` and filled through the slot
+    setters in ``_RECORD_SETTERS``, bound once per load; it is equal to, and
+    hashes like, the ``PaperRecord`` built from the same fields.
     """
+    new = object.__new__
+    set_id, set_year, set_authors, set_topics, set_citations = _RECORD_SETTERS
     papers: list[PaperRecord] = []
     skipped = 0
     # One object per distinct author, topic, topic set and year, shared by
@@ -441,14 +463,24 @@ def load_corpus(path: str | Path, strict: bool = True) -> Corpus:
             authors = item["authors"]
             team = tuple(map(share, authors, authors))
             team = teams.setdefault(team, team)
-            papers.append(
-                PaperRecord(item["id"], share(year, year), team, kept, item.get("citations_5y"))
-            )
+            paper = new(PaperRecord)
+            set_id(paper, item["id"])
+            set_year(paper, share(year, year))
+            set_authors(paper, team)
+            set_topics(paper, kept)
+            set_citations(paper, item.get("citations_5y"))
+            papers.append(paper)
     del shared, share, teams
+    # One lookup per authorship: an author's first paper stores an empty list,
+    # which grows to four slots on its first append (a one-item list would
+    # grow to eight), and every later paper finds that list.
     author_index: dict = {}
+    find = author_index.get
     for paper in papers:
         for author in paper.authors:
-            author_index.setdefault(author, []).append(paper)
+            if (entries := find(author)) is None:
+                entries = author_index[author] = []
+            entries.append(paper)
     # Each list is replaced by its tuple as soon as it is sorted, so the lists
     # and the tuples of the whole index never coexist.
     for author, entries in author_index.items():
@@ -495,10 +527,8 @@ def _window_bounds(
     entries: Sequence[PaperRecord], year: int, window_years: int
 ) -> tuple[int, int]:
     """Slice bounds of the year-sorted records in [year - window_years, year - 1]."""
-    return (
-        bisect_left(entries, year - window_years, key=_year),
-        bisect_left(entries, year, key=_year),
-    )
+    lo = bisect_left(entries, year - window_years, key=_year)
+    return lo, bisect_left(entries, year, lo, key=_year)
 
 
 def window_papers(
@@ -525,21 +555,45 @@ def select_analysis_set(corpus: Corpus, config: AnalysisConfig) -> set[str]:
     5-year citations (records without a count are excluded); (iii) at
     least min_authors authors; (iv) every author has at least one paper
     in the window_years years before publication.
+
+    These are the papers of ``_analysis_papers_by_year``, the one selection walk.
+    """
+    return {paper.id for papers in _analysis_papers_by_year(corpus, config).values()
+            for paper in papers}
+
+
+def _analysis_papers_by_year(
+    corpus: Corpus, config: AnalysisConfig
+) -> dict[int, list[PaperRecord]]:
+    """The records satisfying the selection constraints of ``select_analysis_set``,
+    grouped by year from one walk over the corpus: the years in the order
+    their first selected record comes, and each year's records in corpus order.
+
+    Constraint (iv) costs one bisection per author: the first of the author's
+    year-sorted records at or after ``year - window_years`` must come before ``year``.
     """
     start, end = config.year_range
-    index = corpus.author_index
-    selected: set[str] = set()
+    min_citations = config.min_citations
+    min_authors = config.min_authors
+    window_years = config.window_years
+    find = corpus.author_index.get
+    papers_by_year: dict[int, list[PaperRecord]] = {}
     for paper in corpus.papers:
-        if not start <= paper.year <= end:
+        year = paper.year
+        if not start <= year <= end:
             continue
-        if paper.citations_5y is None or paper.citations_5y < config.min_citations:
+        citations = paper.citations_5y
+        if citations is None or citations < min_citations:
             continue
-        if len(paper.authors) < config.min_authors:
+        authors = paper.authors
+        if len(authors) < min_authors:
             continue
-        for author in paper.authors:
-            lo, hi = _window_bounds(index.get(author, ()), paper.year, config.window_years)
-            if lo >= hi:
+        first = year - window_years
+        for author in authors:
+            entries = find(author, ())
+            lo = bisect_left(entries, first, key=_year)
+            if lo == len(entries) or entries[lo].year >= year:
                 break
         else:
-            selected.add(paper.id)
-    return selected
+            papers_by_year.setdefault(year, []).append(paper)
+    return papers_by_year

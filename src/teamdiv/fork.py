@@ -41,11 +41,22 @@ def in_two_processes(
     writes any, so it never blocks on a full pipe while this process is still
     working. An exception in the worker is raised here with its own type, after
     ``mine`` has returned; one that does not pickle, or a worker that dies,
-    is raised as ``ChildProcessError``. On any error or interrupt here the
-    worker is killed; it is always reaped before this returns.
+    is raised as ``ChildProcessError``, whose message names the signal or the
+    exit status and says how to run in one process. On any error or interrupt
+    here the worker is killed; it is always reaped before this returns.
+
+    When ``os.fork`` raises ``OSError`` (``BlockingIOError`` at a process
+    limit, say), nothing has run yet, so this process computes ``mine()`` and
+    then ``theirs()`` itself.
     """
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        result = mine()
+        return result, list(theirs())
     if pid == 0:
         os.close(read_end)
         _run_worker(write_end, theirs)
@@ -68,8 +79,26 @@ def in_two_processes(
 
         raise pickle.loads(received[0])
     if os.waitstatus_to_exitcode(status) != 0 or not received:
-        raise ChildProcessError(f"the worker sent no result (wait status {status})")
+        raise ChildProcessError(_no_result(status))
     return result, received
+
+
+def _no_result(status: int) -> str:
+    """Why a worker whose wait status is ``status`` sent no result, and what to do."""
+    if os.WIFSIGNALED(status):
+        import signal
+
+        number = os.WTERMSIG(status)
+        try:
+            how = f"was killed by {signal.Signals(number).name}"
+        except ValueError:
+            how = f"was killed by signal {number}"
+    else:
+        how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+    return (
+        f"the worker process {how} before it sent its results; "
+        "to run in one process, rerun pinned to one CPU with `taskset -c 0`"
+    )
 
 
 def _run_worker(write_end: int, results: Callable[[], Iterable[object]]) -> NoReturn:

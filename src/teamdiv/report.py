@@ -5,6 +5,11 @@ both diversity metrics per bucket, then runs the association tests:
 Pearson correlation of the #1/#0 ratio (and category shares) against the
 bucket citation medians, and chi-square homogeneity tests between
 adjacent and pooled buckets.
+
+``run_analysis`` walks the corpus once, to select the papers and group them
+by year; it aggregates from the records it scored, so the corpus is not
+walked again. ``aggregate_report`` gives the same report from metrics alone,
+looking their citation counts up in the corpus.
 """
 from __future__ import annotations
 
@@ -12,13 +17,13 @@ import csv
 import json
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
 from . import svgchart
-from .corpus import AnalysisConfig, CitationBucket, Corpus, PaperRecord, select_analysis_set
+from .corpus import AnalysisConfig, CitationBucket, Corpus, PaperRecord, _analysis_papers_by_year
 from .diversity import CATEGORIES, PaperDiversity, paper_diversity
 from .expertise import (
     ExpertiseVector,
@@ -369,8 +374,9 @@ def aggregate_report(
     A statistic whose computation raises ValueError is left out (None, or
     empty) with the warning "<name> unavailable: <reason>".
 
-    Each bucket is tallied as a list of its papers' citation counts and a
-    list of their metrics, the metric objects given, not copies.
+    Each metric's citation count is looked up in one pass over the corpus;
+    a paper the corpus lacks, or one without a count, is a ValueError. The
+    report is then ``run_analysis``'s, from ``_aggregate``.
     """
     if not metrics:
         raise EmptyAnalysisSetError("no papers to aggregate")
@@ -380,15 +386,29 @@ def aggregate_report(
     for paper in corpus.papers:
         if paper.id in citations:
             citations[paper.id] = paper.citations_5y
-    tallies: dict[CitationBucket, tuple[list[int], list[PaperDiversity]]] = {
-        b: ([], []) for b in config.buckets
-    }
     for m in metrics:
         cited = citations[m.paper_id]
         if cited is _NOT_IN_CORPUS:
             raise ValueError(f"paper {m.paper_id!r} is not in the corpus")
         if cited is None:
             raise ValueError(f"paper {m.paper_id!r} has no citation count")
+    return _aggregate(config, metrics, citations)
+
+
+def _aggregate(
+    config: AnalysisConfig, metrics: list[PaperDiversity], citations: Mapping[str, int]
+) -> AnalysisReport:
+    """The report of metrics sorted by paper id, given each one's citation count.
+
+    Each bucket is tallied as a list of its papers' citation counts and a
+    list of their metrics, the metric objects given, not copies; a count
+    that fits no bucket is a ValueError.
+    """
+    tallies: dict[CitationBucket, tuple[list[int], list[PaperDiversity]]] = {
+        b: ([], []) for b in config.buckets
+    }
+    for m in metrics:
+        cited = citations[m.paper_id]
         for bucket, (counts, tallied) in tallies.items():
             if bucket.contains(cited):
                 break
@@ -468,15 +488,22 @@ def run_analysis(
 
     The analysis ``teamdiv analyze`` runs. A ``profiles`` dict receives every
     expertise vector scoring builds (see ``compute_paper_metrics``).
+
+    One walk over the corpus selects the papers and groups them by year. The
+    citation counts the report needs come from those records, so the corpus
+    is not walked again, and the metrics arrive already sorted by paper id.
+    The report equals ``aggregate_report(corpus, config, metrics)``.
     """
-    # the selected ids are read only to group their records, so the set is
-    # freed before the first vector is built
-    papers_by_year = _papers_by_year(corpus, select_analysis_set(corpus, config))
+    papers_by_year = _analysis_papers_by_year(corpus, config)
     if not papers_by_year:
         raise EmptyAnalysisSetError("no papers satisfy the selection constraints")
     metrics = _score_by_year(corpus, config, papers_by_year, profiles)
-    del papers_by_year  # not read again, so freed before aggregating
-    return aggregate_report(corpus, config, metrics)
+    # built once scoring is done, so it never adds to scoring's peak
+    citations = {
+        paper.id: paper.citations_5y for papers in papers_by_year.values() for paper in papers
+    }
+    del papers_by_year  # not read again
+    return _aggregate(config, metrics, citations)
 
 
 # ---------- rendering ----------

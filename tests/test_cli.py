@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import teamdiv
 import teamdiv.cli as cli
+import teamdiv.corpus as corpus_module
+import teamdiv.report as report_module
 from teamdiv.cli import main
 from teamdiv.corpus import AnalysisConfig, load_corpus, select_analysis_set, write_corpus_jsonl
 from teamdiv.diversity import write_metrics_csv
@@ -610,6 +613,94 @@ def test_analyze_prints_each_line_once_and_the_skipped_count_before_the_fork(
     lines = out.splitlines()
     assert out == "".join(e for e in events if e is not fork_marker)
     assert len(lines) == len(set(lines)) >= 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def dirty_corpus_path(synth_corpus_path, tmp_path_factory):
+    """The synth corpus with a duplicate near its start and bad lines at its end,
+    so that both halves of a two-process validate have problems to report."""
+    lines = synth_corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path_factory.mktemp("dirty") / "corpus.jsonl"
+    path.write_text("".join([lines[0], *lines[:3], "{not json\n", *lines[3:], lines[-1],
+                             '{"id": "no-authors", "year": 2012, "authors": [], "topics": ["t"]}\n']),
+                    encoding="utf-8")
+    return path
+
+
+def _run_in(directory, argv, capfd):
+    directory.mkdir()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, capfd.readouterr(), snapshot(directory)
+
+
+def _commands(synth_corpus_path, dirty_corpus_path):
+    return {
+        "analyze": [["analyze", str(synth_corpus_path), "--output", "out", "--dump-metrics",
+                     "metrics.csv", "--dump-profiles", "profiles.jsonl"], 0],
+        "validate": [["validate", str(dirty_corpus_path)], 1],
+    }
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_fork_that_fails_computes_the_workers_share_here(
+    synth_corpus_path, dirty_corpus_path, tmp_path, monkeypatch, capfd, cpus, command
+):
+    argv, expected_code = _commands(synth_corpus_path, dirty_corpus_path)[command]
+    capfd.readouterr()
+    cpus(1)
+    one_cpu = _run_in(tmp_path / "one-cpu", argv, capfd)
+    attempts = []
+
+    def fork():
+        attempts.append("fork")
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    cpus(2)
+    monkeypatch.setattr(os, "fork", fork)
+    no_fork = _run_in(tmp_path / "no-fork", argv, capfd)
+    assert attempts == ["fork"]
+    assert one_cpu[0] == expected_code
+    assert one_cpu[1].err == ""
+    assert no_fork == one_cpu
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_worker_that_dies_ends_with_one_error_line(
+    synth_corpus_path, dirty_corpus_path, tmp_path, monkeypatch, capfd, cpus, command
+):
+    argv, _ = _commands(synth_corpus_path, dirty_corpus_path)[command]
+    parent = os.getpid()
+
+    def die_in_the_worker(real):
+        def call(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        return call
+
+    if command == "analyze":
+        monkeypatch.setattr(report_module, "paper_diversity",
+                            die_in_the_worker(report_module.paper_diversity))
+    else:
+        monkeypatch.setattr(corpus_module, "_check_record",
+                            die_in_the_worker(corpus_module._check_record))
+    capfd.readouterr()
+    cpus(2)
+    code, captured, _ = _run_in(tmp_path / "run", argv, capfd)
+    assert code == 2
+    assert captured.err == (
+        "error: the worker process was killed by SIGKILL before it sent its results; "
+        "to run in one process, rerun pinned to one CPU with `taskset -c 0`\n"
+    )
+    assert "cannot read" not in captured.out
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

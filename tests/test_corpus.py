@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import teamdiv.corpus as corpus_module
 import teamdiv.halves as halves_module
 from teamdiv.corpus import (
     AnalysisConfig,
+    Corpus,
     CorpusValidationError,
     PaperRecord,
     load_corpus,
@@ -24,6 +26,7 @@ from teamdiv.corpus import (
     window_papers,
     write_corpus_jsonl,
 )
+from teamdiv.report import _papers_by_year
 from tests.conftest import load_records, record
 
 
@@ -38,6 +41,25 @@ def test_parse_builds_index_over_all_authors():
     assert set(corpus.author_index) == {"a", "b", "c"}
     assert [p.id for p in corpus.author_index["b"]] == ["p1", "p2"]
     assert corpus.papers[0].id == "p1"  # order preserved
+
+
+def test_loaded_records_are_the_records_their_fields_make():
+    records = [record("p1", 2010, ["a", "b"], ["y", "x", "y"], citations=3),
+               record("p2", 2011, ["b"], ["z"])]
+    expected = [PaperRecord("p1", 2010, ("a", "b"), ("x", "y"), 3),
+                PaperRecord("p2", 2011, ("b",), ("z",))]
+    corpus = load_records(records)
+    assert list(corpus.papers) == expected
+    for loaded, built in zip(corpus.papers, expected):
+        assert type(loaded) is PaperRecord
+        assert hash(loaded) == hash(built)
+        assert repr(loaded) == repr(built)
+        assert {built: "found"}[loaded] == "found"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.year = 2020
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del loaded.citations_5y
+    assert corpus.papers[0].year == 2010
 
 
 def test_parse_rejects_empty_authors_with_position():
@@ -491,14 +513,14 @@ def test_windows_and_selection_over_a_same_year_tie():
 def test_validate_builds_no_records(tmp_path, monkeypatch, cpus):
     cpus(1)  # the spy records only the records built in this process
     built = []
-    real = corpus_module.PaperRecord
+    # load_corpus fills every record it builds through these setters, the id's first
+    set_id, *others = corpus_module._RECORD_SETTERS
 
-    def spy(*args, **kwargs):
-        paper = real(*args, **kwargs)
-        built.append(paper.id)
-        return paper
+    def spy(paper, paper_id):
+        built.append(paper_id)
+        set_id(paper, paper_id)
 
-    monkeypatch.setattr(corpus_module, "PaperRecord", spy)
+    monkeypatch.setattr(corpus_module, "_RECORD_SETTERS", (spy, *others))
     path = tmp_path / "corpus.jsonl"
     lines = [_line("p1", 2010, ["a"], ["t"]), _line("p2", 2010, [], ["t"]),
              _line("p3", 2011, ["b"], ["t"])]
@@ -780,6 +802,66 @@ def test_select_window_boundaries(window, prior_year, included):
     corpus = load_records(records)
     selected = select_analysis_set(corpus, AnalysisConfig(window_years=window))
     assert selected == ({"p1"} if included else set())
+
+
+def _selected_by_year(corpus, config):
+    """The selection by its definition: each constraint tested on its own, and
+    (iv) by a scan of each author's indexed records; then grouped by year in
+    corpus order."""
+    start, end = config.year_range
+
+    def has_window(author, year):
+        entries = corpus.author_index.get(author, ())
+        return any(year - config.window_years <= p.year < year for p in entries)
+
+    by_year = {}
+    for paper in corpus.papers:
+        if (start <= paper.year <= end
+                and paper.citations_5y is not None
+                and paper.citations_5y >= config.min_citations
+                and len(paper.authors) >= config.min_authors
+                and all(has_window(author, paper.year) for author in paper.authors)):
+            by_year.setdefault(paper.year, []).append(paper)
+    return by_year
+
+
+@st.composite
+def _selection_worlds(draw):
+    """Small corpora with years around the range's and the windows' edges,
+    records without citations, and an index that may lack some authors."""
+    names = ["a", "b", "c", "d", "e", "f"]
+    records = [
+        record(f"p{i}", draw(st.integers(2005, 2016)),
+               draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)),
+               ["t"], draw(st.none() | st.integers(0, 6)))
+        for i in range(draw(st.integers(1, 25)))
+    ]
+    start = draw(st.integers(2006, 2014))
+    min_citations = draw(st.integers(0, 3))
+    config = AnalysisConfig(
+        window_years=draw(st.integers(1, 4)),
+        year_range=(start, draw(st.integers(start, 2015))),
+        min_citations=min_citations,
+        min_authors=draw(st.integers(1, 3)),
+        bucket_bounds=((min_citations, None),),
+    )
+    return records, config, draw(st.sets(st.sampled_from(names), max_size=2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_selection_worlds())
+def test_one_selection_walk_returns_the_selected_year_groups(world):
+    records, config, unindexed = world
+    loaded = load_records(records)
+    index = {a: e for a, e in loaded.author_index.items() if a not in unindexed}
+    corpus = Corpus(loaded.papers, index)
+    walked = corpus_module._analysis_papers_by_year(corpus, config)
+    expected = _selected_by_year(corpus, config)
+    assert list(walked.items()) == list(expected.items())
+    grouped = _papers_by_year(corpus, select_analysis_set(corpus, config))
+    assert list(walked.items()) == list(grouped.items())
+    assert all(paper is corpus.papers[int(paper.id[1:])]
+               for papers in walked.values() for paper in papers)
 
 
 def test_select_year_and_citation_bounds(small_corpus):

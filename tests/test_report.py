@@ -889,6 +889,20 @@ def _overlap_corpus():
     return load_records(_overlap_records())
 
 
+@pytest.mark.parametrize("build", [_overlap_corpus, _synth_corpus], ids=["overlap", "synth"])
+def test_run_analysis_reports_what_aggregate_report_does(build, cpus):
+    """run_analysis aggregates the citation counts of the records it scored,
+    and aggregate_report looks them up in the corpus: one report either way."""
+    cpus(1)
+    corpus = build()
+    config = AnalysisConfig()
+    metrics = compute_paper_metrics(corpus, config, select_analysis_set(corpus, config))
+    result = run_analysis(corpus, config)
+    assert aggregate_report(corpus, config, metrics[::-1]) == result
+    assert result.metrics == metrics
+    assert sum(s.n_papers for s in result.buckets) == len(metrics) > 0
+
+
 def _close(a, b):
     return pytest.approx(b, rel=1e-9, abs=1e-12) == a
 
