@@ -629,15 +629,10 @@ def dirty_corpus_path(synth_corpus_path, tmp_path_factory):
     return path
 
 
-def _run_in(directory, argv, capfd):
+def _run_in(directory, argv, capfd, monkeypatch):
     directory.mkdir()
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        code = main(argv)
-    finally:
-        os.chdir(cwd)
-    return code, capfd.readouterr(), snapshot(directory)
+    monkeypatch.chdir(directory)
+    return main(argv), capfd.readouterr(), snapshot(directory)
 
 
 def _commands(synth_corpus_path, dirty_corpus_path):
@@ -655,7 +650,7 @@ def test_a_fork_that_fails_computes_the_workers_share_here(
     argv, expected_code = _commands(synth_corpus_path, dirty_corpus_path)[command]
     capfd.readouterr()
     cpus(1)
-    one_cpu = _run_in(tmp_path / "one-cpu", argv, capfd)
+    one_cpu = _run_in(tmp_path / "one-cpu", argv, capfd, monkeypatch)
     attempts = []
 
     def fork():
@@ -664,7 +659,7 @@ def test_a_fork_that_fails_computes_the_workers_share_here(
 
     cpus(2)
     monkeypatch.setattr(os, "fork", fork)
-    no_fork = _run_in(tmp_path / "no-fork", argv, capfd)
+    no_fork = _run_in(tmp_path / "no-fork", argv, capfd, monkeypatch)
     assert attempts == ["fork"]
     assert one_cpu[0] == expected_code
     assert one_cpu[1].err == ""
@@ -694,7 +689,7 @@ def test_a_worker_that_dies_ends_with_one_error_line(
                             die_in_the_worker(corpus_module._check_record))
     capfd.readouterr()
     cpus(2)
-    code, captured, _ = _run_in(tmp_path / "run", argv, capfd)
+    code, captured, _ = _run_in(tmp_path / "run", argv, capfd, monkeypatch)
     assert code == 2
     assert captured.err == (
         "error: the worker process was killed by SIGKILL before it sent its results; "
