@@ -142,7 +142,8 @@ def _analyze(args: argparse.Namespace) -> int:
     print(f"records skipped: {corpus.skipped}")
 
     # The profile dump is sorted by (author, year), so scoring keeps every
-    # vector it builds in this dict; without it, each year's are dropped once scored.
+    # vector it builds in this dict, and so scores in this process; without
+    # it, each year's are dropped once scored, and a worker may score some years.
     # An empty selection raises EmptyAnalysisSetError, which main reports.
     profiles = {} if args.dump_profiles else None
     report = run_analysis(corpus, config, profiles=profiles)

@@ -198,13 +198,14 @@ def compute_paper_metrics(
     score that year are alive. A caller's ``profiles`` dict serves every year
     instead, receives each vector it lacks and keeps them all.
 
-    With at least two years and ``fork.can_fork()`` (two CPUs to run on,
-    ``os.fork`` and no other thread alive), the years are split into two sets
-    of near-equal authorships, and one forked worker scores one set while this
-    process scores the other (see ``worker.score_in_two_processes``);
-    otherwise every year is scored here. The metrics and the vectors a
-    ``profiles`` dict receives are the same either way. ``jobs`` accepts only
-    1; it is kept because existing callers still pass ``jobs=1``.
+    Without a ``profiles`` dict, with at least two years and
+    ``fork.can_fork()`` (two CPUs to run on, ``os.fork`` and no other thread
+    alive), the years are split into two sets of near-equal authorships, and
+    one forked worker scores one set while this process scores the other (see
+    ``worker.score_in_two_processes``); otherwise, and always with a
+    ``profiles`` dict, every year is scored here. The metrics are the same
+    either way. ``jobs`` accepts only 1; it is kept because existing callers
+    still pass ``jobs=1``.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
@@ -219,7 +220,7 @@ def _score_by_year(
 ) -> list[PaperDiversity]:
     """``compute_paper_metrics`` on papers already grouped by year."""
     two_processes = False
-    if len(papers_by_year) >= 2:
+    if profiles is None and len(papers_by_year) >= 2:
         from .fork import can_fork
 
         two_processes = can_fork()
@@ -228,10 +229,8 @@ def _score_by_year(
         # compiled on the first fork, so one-process runs never load it
         from . import worker
 
-        keys = worker.authorships(papers_by_year, papers_by_year)
-        if profiles is None or any(key not in profiles for key in keys):
-            # computed once, before the fork, instead of once in each process
-            background = background_distribution(corpus)
+        # computed once, before the fork, instead of once in each process
+        background = background_distribution(corpus)
     vector = _get_or_build(corpus, config, background)
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
@@ -257,7 +256,7 @@ def _score_by_year(
         return metrics
 
     if two_processes:
-        metrics = worker.score_in_two_processes(score, papers_by_year, profiles)
+        metrics = worker.score_in_two_processes(score, papers_by_year)
     else:
         metrics = score(papers_by_year)
     metrics.sort(key=attrgetter("paper_id"))
@@ -487,7 +486,8 @@ def run_analysis(
     """Full pipeline: select, profile, score each paper, aggregate, test.
 
     The analysis ``teamdiv analyze`` runs. A ``profiles`` dict receives every
-    expertise vector scoring builds (see ``compute_paper_metrics``).
+    expertise vector scoring builds, and then every year is scored in this
+    process (see ``compute_paper_metrics``).
 
     One walk over the corpus selects the papers and groups them by year. The
     citation counts the report needs come from those records, so the corpus

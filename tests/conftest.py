@@ -62,7 +62,8 @@ def small_corpus():
 def cpus(monkeypatch):
     """``cpus(n)`` makes this process see n CPUs it may run on. With one,
     ``compute_paper_metrics`` scores every year in this process, where a spy
-    patched in by the test sees each call; with two it forks a worker."""
+    patched in by the test sees each call; with two it forks a worker, unless
+    the caller passes a ``profiles`` dict."""
 
     def see(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

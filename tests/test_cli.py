@@ -561,8 +561,19 @@ def synth_corpus_path(tmp_path_factory):
     return out / "corpus.jsonl"
 
 
+@pytest.mark.parametrize(
+    ("dump", "forks_with_two_cpus", "files"),
+    [
+        # 3 tables, 3 figures, report.md, config.json and the metrics dump
+        ([], ["fork"], 9),
+        # a dump keeps every profile, so scoring stays in this process
+        (["--dump-profiles", "profiles.jsonl"], [], 10),
+    ],
+    ids=["without-dump", "with-dump"],
+)
 def test_analyze_writes_the_same_bytes_with_one_cpu_and_two(
-    synth_corpus_path, tmp_path, monkeypatch, capfd, cpus, forks
+    synth_corpus_path, tmp_path, monkeypatch, capfd, cpus, forks, dump, forks_with_two_cpus,
+    files
 ):
     capfd.readouterr()
     outputs = []
@@ -572,10 +583,10 @@ def test_analyze_writes_the_same_bytes_with_one_cpu_and_two(
         run.mkdir()
         monkeypatch.chdir(run)
         assert main(["analyze", str(synth_corpus_path), "--output", "out",
-                     "--dump-metrics", "metrics.csv", "--dump-profiles", "profiles.jsonl"]) == 0
+                     "--dump-metrics", "metrics.csv", *dump]) == 0
         outputs.append((capfd.readouterr(), snapshot(run)))
-        assert forks == ["fork"] * (n - 1)
-    assert len(outputs[0][1]) == 10  # 3 tables, 3 figures, report.md, config.json, 2 dumps
+        assert forks == (forks_with_two_cpus if n == 2 else [])
+    assert len(outputs[0][1]) == files
     assert outputs[0] == outputs[1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -638,7 +649,7 @@ def _run_in(directory, argv, capfd, monkeypatch):
 def _commands(synth_corpus_path, dirty_corpus_path):
     return {
         "analyze": [["analyze", str(synth_corpus_path), "--output", "out", "--dump-metrics",
-                     "metrics.csv", "--dump-profiles", "profiles.jsonl"], 0],
+                     "metrics.csv"], 0],
         "validate": [["validate", str(dirty_corpus_path)], 1],
     }
 
