@@ -3,16 +3,18 @@
 Two metrics per paper, both taken from the same pairwise cosine distances:
 the maximum distance within the team, and the number of connected
 components of the author-similarity graph (edge when a pair's distance
-falls below the threshold). ``paper_diversity`` computes each member's
-vector norm once and each pair's distance once, and folds the distance into
-both metrics; the per-pair work is the dot product over shared topics.
-Component counts map onto four ordered diversity categories.
+falls below the threshold). ``paper_diversity`` is the one implementation
+of both, and the scoring pass, ``report._score_by_year``, calls it once per
+paper. It computes each pair's cosine distance once, inline, from the norms
+the vectors carry (each computed once, when its vector is built), and folds
+it into both metrics; the per-pair work is the dot product over shared
+topics. Component counts map onto four ordered diversity categories.
 """
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
@@ -53,27 +55,8 @@ class PaperDiversity:
     excluded_authors: int
 
 
-def _norm(entries: Mapping[str, float]) -> float:
-    return math.sqrt(math.fsum(w * w for w in entries.values()))
-
-
-def _distance(a: Mapping[str, float], b: Mapping[str, float], norms: float) -> float:
-    """Cosine distance of two nonempty vectors, given the product of their norms."""
-    if len(b) < len(a):
-        a, b = b, a
-    shared = [w * b[t] for t, w in a.items() if t in b]
-    if not shared:
-        return 1.0
-    # fsum keeps the dot product independent of summation order, so the
-    # distance is exactly symmetric in its arguments
-    distance = 1.0 - math.fsum(shared) / norms
-    # The only code that decides the endpoints. Exact 1 (no shared topic) came
-    # back above; a shared topic whose similarity is under ~6e-17 rounds this
-    # to 1.0, so it is kept just below 1. The few-ulp drift of proportional
-    # vectors snaps onto 0.
-    if distance < _CLAMP:
-        return 0.0
-    return distance if distance < 1.0 else math.nextafter(1.0, 0.0)
+# the distance of a pair that shares a topic but whose similarity rounds to 0
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def categorize(n_components: int) -> DiversityCategory:
@@ -98,35 +81,62 @@ def paper_diversity(
     """Evaluate both metrics and the category for one paper's team.
 
     One pass over the pairs of members with nonempty vectors: each pair's
-    distance feeds the running maximum and, when it is below the threshold
-    (or equal to it with ``inclusive``), joins the pair in a union-find.
-    Members with empty vectors stay isolated vertices.
+    cosine distance, from the dot product over shared topics and the norms
+    the vectors carry, feeds the running maximum and, when it is below the
+    threshold (or equal to it with ``inclusive``), joins the pair in a
+    union-find. Members with empty vectors stay isolated vertices.
     """
     if not team:
         raise ValueError("team must be nonempty")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    usable = [v.entries for v in team if not v.is_empty]
-    norms = [_norm(entries) for entries in usable]
+    usable = [v for v in team if v.entries]
     n = len(usable)
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    fsum = math.fsum
     largest = 0.0
     unions = 0
-    for i, u in enumerate(usable):
-        norm_i = norms[i]
+    for i in range(1, n):
+        u = usable[i]
+        a = u.entries
+        norm_a = u.norm
         for j in range(i):
-            d = _distance(u, usable[j], norm_i * norms[j])
+            v = usable[j]
+            b = v.entries
+            if len(b) < len(a):
+                small, big = b, a
+            else:
+                small, big = a, b
+            shared = []
+            for t, w in small.items():
+                if t in big:
+                    shared.append(w * big[t])
+            if shared:
+                # fsum keeps the dot product independent of summation order,
+                # so the distance is exactly symmetric in the pair
+                d = 1.0 - fsum(shared) / (norm_a * v.norm)
+                # The only code that decides the endpoints. Exact 1 means no
+                # shared topic; a shared topic whose similarity is under ~6e-17
+                # rounds this to 1.0, so it is kept just below 1. The few-ulp
+                # drift of proportional vectors snaps onto 0.
+                if d < _CLAMP:
+                    d = 0.0
+                elif not d < 1.0:
+                    d = _BELOW_ONE
+            else:
+                d = 1.0
             if d > largest:
                 largest = d
             if d < threshold or (inclusive and d == threshold):
-                root_i, root_j = find(i), find(j)
+                # union-find by index, halving the path to each root
+                root_i = i
+                while parent[root_i] != root_i:
+                    parent[root_i] = parent[parent[root_i]]
+                    root_i = parent[root_i]
+                root_j = j
+                while parent[root_j] != root_j:
+                    parent[root_j] = parent[parent[root_j]]
+                    root_j = parent[root_j]
                 if root_i != root_j:
                     parent[root_i] = root_j
                     unions += 1

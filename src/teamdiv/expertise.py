@@ -9,12 +9,19 @@ the expertise vector.
 Weights are ratios of integer counts, so the subtraction is carried out
 on cross-multiplied integers and rounded only once: an author frequency
 of 7/10 against a background of 3/10 comes out as exactly 0.4.
+
+Each step has one implementation, shared by ``profile_author`` and by the
+scoring pass, ``report._score_by_year``, which calls the steps directly:
+``corpus._window_bounds`` finds the window, ``_count_topics`` counts its
+topics, ``_top_k`` keeps the top k, and ``ExpertiseVector`` computes its
+norm once, when it is built, for every distance it takes part in.
 """
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import AnalysisConfig, Corpus, PaperRecord, window_papers
@@ -28,28 +35,74 @@ class TopicDistribution:
     paper_count: int
 
 
-@dataclass(frozen=True, slots=True)
+def _norm(entries: Mapping[str, float]) -> float:
+    """Euclidean norm of the weights."""
+    return math.sqrt(math.fsum([w * w for w in entries.values()]))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ExpertiseVector:
     """Top-k topics of one author with positive background-adjusted weights.
 
     ``entries`` is ordered by descending weight (ties by ascending topic id),
-    so canonical serialization is deterministic.
+    so canonical serialization is deterministic. ``norm`` is the Euclidean
+    norm of the weights, computed once, when the vector is built, for every
+    distance it takes part in; ``entries`` is not changed afterwards.
     """
 
     entries: Mapping[str, float]
+    norm: float = field(init=False, repr=False, compare=False)
+
+    def __init__(self, entries: Mapping[str, float]) -> None:
+        # the slot setters: a frozen dataclass's own __init__ sets each field
+        # through object.__setattr__, which costs about as much again
+        _set_entries(self, entries)
+        _set_norm(self, _norm(entries))
 
     @property
     def is_empty(self) -> bool:
         return not self.entries
 
 
-def topic_distribution(papers: Sequence[PaperRecord]) -> TopicDistribution:
-    """How many of the given papers contain each topic; zero papers count nothing."""
+_set_entries = ExpertiseVector.entries.__set__
+_set_norm = ExpertiseVector.norm.__set__
+
+
+def _count_topics(papers: Sequence[PaperRecord]) -> dict[str, int]:
+    """How many of the given papers contain each topic."""
     counts: dict[str, int] = {}
+    get = counts.get
     for paper in papers:
         for topic in paper.topics:
-            counts[topic] = counts.get(topic, 0) + 1
-    return TopicDistribution(counts=counts, paper_count=len(papers))
+            counts[topic] = get(topic, 0) + 1
+    return counts
+
+
+def _top_k(
+    counts: Mapping[str, int],
+    na: int,
+    background_counts: Mapping[str, int],
+    nb: int,
+    k: int,
+) -> dict[str, float]:
+    """The entries of ``expertise_vector`` for ``counts`` over ``na`` papers
+    against ``background_counts`` over ``nb``: the k largest positive
+    numerators, ties by ascending topic, each divided once by ``na * nb``."""
+    denominator = na * nb
+    get = background_counts.get
+    # numerator of (count_a/na - count_b/nb) over the common denominator
+    scored = []
+    for topic, count_a in counts.items():
+        numerator = count_a * nb - get(topic, 0) * na
+        if numerator > 0:
+            scored.append((-numerator, topic))
+    scored.sort()
+    return {topic: -neg / denominator for neg, topic in scored[:k]}
+
+
+def topic_distribution(papers: Sequence[PaperRecord]) -> TopicDistribution:
+    """How many of the given papers contain each topic; zero papers count nothing."""
+    return TopicDistribution(counts=_count_topics(papers), paper_count=len(papers))
 
 
 def background_distribution(corpus: Corpus) -> TopicDistribution:
@@ -71,18 +124,8 @@ def expertise_vector(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    na = author_dist.paper_count
-    nb = background.paper_count
-    denominator = na * nb
-    # numerator of (count_a/na - count_b/nb) over the common denominator
-    scored = []
-    for topic, count_a in author_dist.counts.items():
-        numerator = count_a * nb - background.counts.get(topic, 0) * na
-        if numerator > 0:
-            scored.append((-numerator, topic))
-    scored.sort()
-    entries = {topic: -neg / denominator for neg, topic in scored[:k]}
-    return ExpertiseVector(entries)
+    return ExpertiseVector(_top_k(author_dist.counts, author_dist.paper_count,
+                                  background.counts, background.paper_count, k))
 
 
 def profile_author(

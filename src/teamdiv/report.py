@@ -23,11 +23,20 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import svgchart
-from .corpus import AnalysisConfig, CitationBucket, Corpus, PaperRecord, _analysis_papers_by_year
+from .corpus import (
+    AnalysisConfig,
+    CitationBucket,
+    Corpus,
+    PaperRecord,
+    _analysis_papers_by_year,
+    _window_bounds,
+)
 from .diversity import CATEGORIES, PaperDiversity, paper_diversity
 from .expertise import (
     ExpertiseVector,
     TopicDistribution,
+    _count_topics,
+    _top_k,
     background_distribution,
     profile_author,
 )
@@ -139,27 +148,6 @@ def _papers_by_year(corpus: Corpus, paper_ids: Iterable[str]) -> dict[int, list[
     return papers_by_year
 
 
-def _get_or_build(
-    corpus: Corpus,
-    config: AnalysisConfig,
-    background: TopicDistribution | None = None,
-) -> Callable[[dict, str, int], ExpertiseVector]:
-    """The step ``vector(store, author, year)``: the vector stored under (author,
-    year), built and stored there if missing. A background not given is
-    computed on the first build, so at most once, and only if a vector is missing.
-    """
-
-    def vector(store: dict, author: str, year: int) -> ExpertiseVector:
-        nonlocal background
-        found = store.get((author, year))
-        if found is None:
-            background = background or background_distribution(corpus)
-            found = store[author, year] = profile_author(corpus, background, author, year, config)
-        return found
-
-    return vector
-
-
 def build_profiles(
     corpus: Corpus,
     config: AnalysisConfig,
@@ -168,15 +156,17 @@ def build_profiles(
 ) -> dict[tuple[str, int], ExpertiseVector]:
     """Expertise vectors for every (author, year) pair the papers need.
 
-    ``compute_paper_metrics``' grouping and get-or-build step, without the
-    scoring; the dict grows with the distinct (author, year) pairs.
+    ``compute_paper_metrics``' grouping, with one ``profile_author`` call per
+    distinct (author, year) pair and no scoring; a background not given is
+    computed on the first call. The dict grows with the distinct pairs.
     """
-    vector = _get_or_build(corpus, config, background)
     profiles: dict[tuple[str, int], ExpertiseVector] = {}
     for year, papers in _papers_by_year(corpus, paper_ids).items():
         for paper in papers:
             for author in paper.authors:
-                vector(profiles, author, year)
+                if (author, year) not in profiles:
+                    background = background or background_distribution(corpus)
+                    profiles[author, year] = profile_author(corpus, background, author, year, config)
     return profiles
 
 
@@ -192,11 +182,13 @@ def compute_paper_metrics(
     One pass over the corpus groups the papers by year; this is the only
     place the analysis builds expertise vectors. A vector keyed (author, Y)
     is read only by papers of year Y, so the years are scored one at a time,
-    and each paper's team is built (each vector once) and scored before the
-    next paper. Each vector is dropped right after its author's last paper of
-    the year is scored, so only the vectors of authors with a paper still to
-    score that year are alive. A caller's ``profiles`` dict serves every year
-    instead, receives each vector it lacks and keeps them all.
+    in one fused pass each (``_score_by_year``): each paper's team is built
+    (each vector once) and scored before the next paper. Each vector is
+    dropped right after its author's last paper of the year is scored, so
+    only the vectors of authors with a paper still to score that year are
+    alive. The same pass serves a caller's ``profiles`` dict: it reads each
+    vector from the dict first, stores there each vector it builds, and the
+    dict keeps them all.
 
     Without a ``profiles`` dict, with at least two years and
     ``fork.can_fork()`` (two CPUs to run on, ``os.fork`` and no other thread
@@ -218,7 +210,18 @@ def _score_by_year(
     papers_by_year: dict[int, list[PaperRecord]],
     profiles: dict[tuple[str, int], ExpertiseVector] | None,
 ) -> list[PaperDiversity]:
-    """``compute_paper_metrics`` on papers already grouped by year."""
+    """``compute_paper_metrics`` on papers already grouped by year.
+
+    One fused pass per year. The first time the year needs an author's
+    vector, the pass takes it from the caller's ``profiles`` dict or builds
+    it from the steps ``profile_author`` is made of, without its calls and
+    intermediate objects: ``_window_bounds`` bisects the author's records,
+    ``_count_topics`` counts the window's topics, ``_top_k`` keeps the top k,
+    and ``ExpertiseVector`` computes the norm. Each paper is then one
+    ``paper_diversity`` call over its team. A vector built here goes into a
+    caller's dict, which keeps it; the background is computed before the
+    first build, so not at all when the dict holds every vector.
+    """
     two_processes = False
     if profiles is None and len(papers_by_year) >= 2:
         from .fork import can_fork
@@ -231,28 +234,45 @@ def _score_by_year(
 
         # computed once, before the fork, instead of once in each process
         background = background_distribution(corpus)
-    vector = _get_or_build(corpus, config, background)
+    find = corpus.author_index.get
+    window_years = config.window_years
+    top_k = config.top_k
     threshold = config.edge_threshold
     inclusive = config.inclusive_threshold
 
     def score(years: Iterable[int]) -> list[PaperDiversity]:
+        nonlocal background
         metrics: list[PaperDiversity] = []
         for year in years:
             papers = papers_by_year[year]
-            if profiles is None:
-                store = {}
-                # the index of each author's last paper this year
-                last = {author: i for i, paper in enumerate(papers) for author in paper.authors}
-            else:
-                store, last = profiles, None
+            # the index of each author's last paper this year
+            last = {author: i for i, paper in enumerate(papers) for author in paper.authors}
+            vectors: dict[str, ExpertiseVector] = {}
             for i, paper in enumerate(papers):
-                team = [vector(store, author, year) for author in paper.authors]
-                metrics.append(paper_diversity(paper.id, team, threshold, inclusive=inclusive))
-                del team  # else it keeps the vectors dropped below alive while the next is built
-                if last is not None:
-                    for author in paper.authors:
-                        if last[author] == i:
-                            del store[author, year]
+                authors = paper.authors
+                team = []
+                for author in authors:
+                    vector = vectors.get(author)
+                    if vector is None:
+                        if profiles is not None:
+                            vector = profiles.get((author, year))
+                        if vector is None:
+                            if background is None:
+                                background = background_distribution(corpus)
+                            records = find(author, ())
+                            lo, hi = _window_bounds(records, year, window_years)
+                            vector = ExpertiseVector(_top_k(
+                                _count_topics(records[lo:hi]), hi - lo,
+                                background.counts, background.paper_count, top_k,
+                            ))
+                            if profiles is not None:
+                                profiles[author, year] = vector
+                        vectors[author] = vector
+                    team.append(vector)
+                metrics.append(paper_diversity(paper.id, team, threshold, inclusive))
+                for author in authors:
+                    if last[author] == i:
+                        del vectors[author]
         return metrics
 
     if two_processes:

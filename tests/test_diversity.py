@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-import teamdiv.diversity as diversity
+import teamdiv.expertise as expertise
 from teamdiv.diversity import (
     DiversityCategory,
     categorize,
@@ -124,29 +124,39 @@ def test_pair_counts():
 
 
 def test_one_distance_per_pair(monkeypatch):
-    calls, norms = [], []
-    distance, norm = diversity._distance, diversity._norm
+    norms = []
+    norm = expertise._norm
+    reads = []  # the smaller side of each pair whose dot product is taken
+    pairs = set()  # the pairs whose other side is then looked up
 
-    def counting_distance(a, b, product):
-        calls.append((id(a), id(b)))
-        return distance(a, b, product)
+    class Entries(dict):
+        """Weights that record the pairs whose distance reads them."""
+
+        def items(self):
+            reads.append(id(self))
+            return super().items()
+
+        def __contains__(self, topic):
+            pairs.add(frozenset((reads[-1], id(self))))
+            return super().__contains__(topic)
 
     def counting_norm(entries):
         norms.append(id(entries))
         return norm(entries)
 
-    monkeypatch.setattr(diversity, "_distance", counting_distance)
-    monkeypatch.setattr(diversity, "_norm", counting_norm)
+    monkeypatch.setattr(expertise, "_norm", counting_norm)
     rng = random.Random(13)
     team = [
-        vec(**{f"t{j}": rng.uniform(0.1, 1) for j in rng.sample(range(5), 2)})
+        ExpertiseVector(Entries({f"t{j}": rng.uniform(0.1, 1) for j in rng.sample(range(5), 2)}))
         for _ in range(10)
     ] + [ExpertiseVector({}), ExpertiseVector({})]
+    # one norm per vector, taken when it is built
+    assert len(norms) == len(set(norms)) == 12
     result = paper_diversity("p", team, threshold=0.3)
-    assert len(calls) == result.pair_count == 45
-    assert len({frozenset(pair) for pair in calls}) == 45
-    # one norm per usable member, none per pair
-    assert len(norms) == len(set(norms)) == 10
+    assert len(reads) == result.pair_count == 45
+    assert len(pairs) == 45
+    # none while scoring
+    assert len(norms) == 12
 
 
 def test_pairwise_matches_nested_loop_oracle():

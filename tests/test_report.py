@@ -278,20 +278,26 @@ def test_each_years_profiles_are_gone_before_the_next_year(monkeypatch, cpus):
     corpus = _multi_year_corpus()
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
-    real_profile_author = report.profile_author
+    real_window_bounds = report._window_bounds
     built = []  # (year, finalizer) of every vector, in build order
     stale = []  # years of other years' vectors still alive when a vector is built
+    building = []  # the year of each vector the scoring pass starts to build
 
     class Tracked(ExpertiseVector):
         pass  # unlike its slotted base class, weakly referenceable
 
-    def spy(corpus, background, author, year, config):
+    def window_bounds(records, year, window_years):
         stale.extend(y for y, alive in built if y != year and alive.alive)
-        vector = Tracked(real_profile_author(corpus, background, author, year, config).entries)
-        built.append((year, weakref.finalize(vector, lambda: None)))
+        building.append(year)
+        return real_window_bounds(records, year, window_years)
+
+    def vector(entries):
+        vector = Tracked(entries)
+        built.append((building[-1], weakref.finalize(vector, lambda: None)))
         return vector
 
-    monkeypatch.setattr(report, "profile_author", spy)
+    monkeypatch.setattr(report, "_window_bounds", window_bounds)
+    monkeypatch.setattr(report, "ExpertiseVector", vector)
     # as in analyze: with the collector off, only reference counting frees
     was_enabled = gc.isenabled()
     gc.collect()
@@ -315,8 +321,9 @@ def test_each_vector_is_gone_once_its_authors_last_paper_of_the_year_is_scored(m
     config = AnalysisConfig()
     selected = select_analysis_set(corpus, config)
     needed = sorted(build_profiles(corpus, config, selected))
-    real_profile_author = report.profile_author
+    real_window_bounds = report._window_bounds
     real_paper_diversity = report.paper_diversity
+    author_of = {id(records): author for author, records in corpus.author_index.items()}
     built = []  # (author, year) of every vector, in build order
     alive = {}  # (author, year) -> finalizer of its vector
     scored = []  # (paper id, keys of the vectors alive while it is scored)
@@ -324,17 +331,21 @@ def test_each_vector_is_gone_once_its_authors_last_paper_of_the_year_is_scored(m
     class Tracked(ExpertiseVector):
         pass  # unlike its slotted base class, weakly referenceable
 
-    def build(corpus, background, author, year, config):
-        vector = Tracked(real_profile_author(corpus, background, author, year, config).entries)
-        built.append((author, year))
-        alive[author, year] = weakref.finalize(vector, lambda: None)
+    def window_bounds(records, year, window_years):
+        built.append((author_of[id(records)], year))
+        return real_window_bounds(records, year, window_years)
+
+    def build(entries):
+        vector = Tracked(entries)
+        alive[built[-1]] = weakref.finalize(vector, lambda: None)
         return vector
 
     def score(paper_id, team, *args, **kwargs):
         scored.append((paper_id, {key for key, ref in alive.items() if ref.alive}))
         return real_paper_diversity(paper_id, team, *args, **kwargs)
 
-    monkeypatch.setattr(report, "profile_author", build)
+    monkeypatch.setattr(report, "_window_bounds", window_bounds)
+    monkeypatch.setattr(report, "ExpertiseVector", build)
     monkeypatch.setattr(report, "paper_diversity", score)
     was_enabled = gc.isenabled()
     gc.collect()
